@@ -4,7 +4,7 @@ noise morphing resynthesis."""
 from .core import AudioBuffer, Spectrogram, StftParams, istft, median_filter_axis, stft, window_energy
 from .errors import AudioIOError, ConfigurationError
 from .noisemorph import NoiseMorphParams, generate_excitation, stretch_noise
-from .pipeline import StretchConfig, stretch_components, time_stretch, time_stretch_anchor
+from .pipeline import StretchConfig, stretch_components, time_stretch
 from .stn import StnConfig, StnThresholds, stn_decompose, stn_decompose_with_masks
 from .transients import TransientDetectParams, detect_events, reposition_events
 from .vocoder import PvParams, stretch_plain, stretch_sines
@@ -38,7 +38,6 @@ __all__ = [
     "stretch_plain",
     "stretch_sines",
     "time_stretch",
-    "time_stretch_anchor",
     "window_energy",
     "write_wav",
 ]

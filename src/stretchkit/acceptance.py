@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import functools
-from dataclasses import replace
 
 import numpy as np
 
@@ -38,15 +37,14 @@ from .noisemorph import (
     morph_replace,
     stretch_noise,
 )
-from .core import StftParams, stft, window_energy
-from .pipeline import StretchConfig, output_length, stretch_components, time_stretch
+from .core import stft, window_energy
+from .pipeline import MODES, StretchConfig, output_length, stretch_components, time_stretch
 from .stn import STAGE1_THRESHOLDS, STAGE2_THRESHOLDS, saturating_mask, stn_decompose_with_masks
 
 SAMPLE_RATE = 44100
 DURATION = 2.0
 CORPUS = ("sine", "two_tone", "click_train", "shaped_noise", "click_plus_hiss")
 ALPHAS = (1.0, 2.0, 3.0, 4.0, 8.0)
-MODES = ("nm", "ni", "nd", "an")
 
 
 @functools.lru_cache(maxsize=None)

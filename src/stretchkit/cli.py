@@ -15,7 +15,9 @@ Keys are the StretchConfig fields, nested ones dotted, e.g.:
     stn.long_window = 8192
     transient.fade_s = 0.005
 
-Command-line flags override config-file values.
+Command-line flags override config-file values. An unknown key exits 2,
+including noise.seed and pv.alpha (seed and alpha are top-level keys only),
+and so does a value that fails validation.
 """
 
 from __future__ import annotations
@@ -28,10 +30,11 @@ import sys
 import time
 from pathlib import Path
 
-from .core import AudioBuffer
 from .errors import AudioIOError, ConfigurationError
 from .pipeline import MODES, StretchConfig, stretch_components, time_stretch
 from .stn import stn_decompose
+# run() takes its events from stretch_components; detect_events stays
+# importable here because the benchmark tracer (perfbench/spans.py) patches it
 from .transients import detect_events, onsets_csv_rows
 from .wavio import BIT_DEPTHS, read_wav, write_wav
 
@@ -85,11 +88,21 @@ def parse_config_file(path: Path) -> dict:
 def _coerce(current, text: str, key: str):
     kind = type(current)
     try:
-        if kind is bool:
-            return text.lower() in ("1", "true", "yes")
         return kind(text)
     except ValueError:
         raise ConfigurationError(f"config key {key}: cannot parse {text!r} as {kind.__name__}")
+
+
+def _validate_sections(config) -> None:
+    """Re-run the __post_init__ checks of every nested config section, which
+    setattr-based overrides bypass. The top level is checked once the
+    command-line flags are applied."""
+    for f in dataclasses.fields(config):
+        section = getattr(config, f.name)
+        if dataclasses.is_dataclass(section):
+            _validate_sections(section)
+            if hasattr(section, "__post_init__"):
+                section.__post_init__()
 
 
 def apply_config_values(config: StretchConfig, values: dict) -> StretchConfig:
@@ -104,6 +117,7 @@ def apply_config_values(config: StretchConfig, values: dict) -> StretchConfig:
         if not dataclasses.is_dataclass(target) or not hasattr(target, leaf):
             raise ConfigurationError(f"unknown config key {key!r}")
         setattr(target, leaf, _coerce(getattr(target, leaf), text, key))
+    _validate_sections(config)
     return config
 
 
@@ -134,8 +148,6 @@ def _load_stretch_config(args) -> tuple[StretchConfig, set[str]]:
         explicit = set(values)
         config = apply_config_values(config, values)
     if args.alpha is not None:
-        if not args.alpha > 0:
-            raise ConfigurationError(f"--alpha must be positive, got {args.alpha}")
         config.alpha = args.alpha
     elif "alpha" not in explicit:
         raise ConfigurationError("--alpha is required (or set alpha in --config)")
@@ -154,7 +166,7 @@ def run(args) -> int:
     config = scale_for_rate(config, x.sample_rate, explicit)
 
     started = time.perf_counter()
-    if config.mode in ("nm", "ni") and (args.stems or args.onsets):
+    if config.mode in ("nm", "ni"):
         components = stn_decompose(x, config.stn)
         out, branches = stretch_components(components, config)
         if args.stems:
@@ -167,11 +179,10 @@ def run(args) -> int:
             ]:
                 write_wav(buf, args.stems / f"{name}.wav", args.bit_depth)
         if args.onsets:
-            events = detect_events(components.transients, config.transient)
             with open(args.onsets, "w", newline="") as f:
                 writer = csv.writer(f)
                 writer.writerow(["input_sample", "output_sample"])
-                writer.writerows(onsets_csv_rows(events, config.alpha))
+                writer.writerows(onsets_csv_rows(branches.events, config.alpha))
     else:
         if args.stems or args.onsets:
             log.warning("--stems/--onsets are only meaningful for nm/ni modes; ignored")

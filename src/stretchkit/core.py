@@ -102,6 +102,12 @@ class StftParams:
         return _windows.hann(self.window_size, sym=False)
 
 
+def output_length(input_length: int, alpha: float) -> int:
+    """Length of a signal of input_length samples stretched by alpha:
+    round(alpha * input_length), the length every stretch method returns."""
+    return int(round(alpha * input_length))
+
+
 def n_frames_for(length: int, params: StftParams) -> int:
     """Frame count for a signal of `length` samples (tail zero-padded)."""
     if length == 0:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AudioBuffer, Spectrogram, StftParams, istft, stft, window_energy
+from .core import AudioBuffer, Spectrogram, StftParams, istft, output_length, stft, window_energy
 from .errors import ConfigurationError
 
 VARIANT_MULTIPLY = "multiply"
@@ -29,7 +29,6 @@ class NoiseMorphParams:
     window_size: int = 2048
     hop_size: int = 1024
     floor_db: float = -120.0
-    seed: int = 0
 
     def stft_params(self) -> StftParams:
         return StftParams(self.window_size, self.hop_size)
@@ -42,7 +41,8 @@ def log_magnitude(spec: Spectrogram, floor_db: float = -120.0) -> Spectrogram:
 
 
 def lerp_frames(logmag: Spectrogram, alpha: float) -> Spectrogram:
-    """Time-interpolate a spectrogram to round(alpha*M) frames.
+    """Time-interpolate a spectrogram to round(alpha*M) frames, and to at
+    least one frame when M > 0, so a non-empty output always has a target.
 
     Output frame m reads from continuous input position m/alpha (clamped to
     the valid range), blending the two neighboring frames per bin. alpha = 1
@@ -51,9 +51,9 @@ def lerp_frames(logmag: Spectrogram, alpha: float) -> Spectrogram:
     if alpha <= 0:
         raise ConfigurationError(f"alpha must be positive, got {alpha}")
     m = logmag.n_frames
-    m_out = int(round(alpha * m))
-    if m == 0 or m_out == 0:
+    if m == 0:
         return logmag.copy_with(np.zeros((0, logmag.values.shape[1])))
+    m_out = max(1, int(round(alpha * m)))
     pos = np.clip(np.arange(m_out) / alpha, 0.0, m - 1)
     lo = np.floor(pos).astype(int)
     hi = np.minimum(lo + 1, m - 1)
@@ -113,7 +113,7 @@ def stretch_noise(
     alpha: float,
     params: NoiseMorphParams | None = None,
     variant: str = VARIANT_MULTIPLY,
-    seed: int | None = None,
+    seed: int = 0,
 ) -> AudioBuffer:
     """Full analysis/morph/synthesis chain for the noise component.
 
@@ -127,10 +127,8 @@ def stretch_noise(
         raise ConfigurationError(f"unknown morph variant {variant!r}")
     if alpha <= 0:
         raise ConfigurationError(f"alpha must be positive, got {alpha}")
-    if seed is None:
-        seed = params.seed
     sp = params.stft_params()
-    out_length = int(round(alpha * len(noise)))
+    out_length = output_length(len(noise), alpha)
     if out_length == 0:
         return AudioBuffer(np.zeros(0), noise.sample_rate)
 

@@ -11,11 +11,11 @@ Modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import AudioBuffer
+from .core import AudioBuffer, output_length
 from .errors import ConfigurationError
 from .noisemorph import (
     VARIANT_MULTIPLY,
@@ -24,7 +24,7 @@ from .noisemorph import (
     stretch_noise,
 )
 from .stn import StnComponents, StnConfig, stn_decompose
-from .transients import TransientDetectParams, detect_events, reposition_events
+from .transients import TransientDetectParams, TransientEvent, detect_events, reposition_events
 from .vocoder import PvParams, stretch_plain, stretch_sines
 
 MODES = ("nm", "ni", "nd", "an")
@@ -50,24 +50,13 @@ class StretchConfig:
 
 @dataclass
 class BranchOutputs:
-    """Per-branch stretched signals (already trimmed to the output length)."""
+    """Per-branch stretched signals, each output_length() samples long, and
+    the transient events detected on the input's transient component."""
 
     sines: AudioBuffer
     transients: AudioBuffer
     noise: AudioBuffer
-
-
-def output_length(input_length: int, alpha: float) -> int:
-    return int(round(alpha * input_length))
-
-
-def _fit(buf: AudioBuffer, length: int) -> AudioBuffer:
-    x = buf.samples
-    if len(x) > length:
-        x = x[:length]
-    elif len(x) < length:
-        x = np.pad(x, (0, length - len(x)))
-    return AudioBuffer(x, buf.sample_rate)
+    events: list[TransientEvent]
 
 
 def stretch_components(
@@ -75,23 +64,17 @@ def stretch_components(
 ) -> tuple[AudioBuffer, BranchOutputs]:
     """Stretch already-decomposed components and sum them (nm/ni modes)."""
     alpha = config.alpha
-    length = output_length(len(components.sines), alpha)
+    rate = components.sines.sample_rate
     variant = VARIANT_REPLACE if config.mode == "ni" else VARIANT_MULTIPLY
 
-    pv = replace(config.pv, alpha=alpha)
-    sines = _fit(stretch_sines(components.sines, pv), length)
+    sines = stretch_sines(components.sines, alpha, config.pv)
     events = detect_events(components.transients, config.transient)
-    transients = _fit(
-        reposition_events(events, alpha, length, components.transients.sample_rate), length
+    transients = reposition_events(
+        events, alpha, output_length(len(components.transients), alpha), rate
     )
-    noise = _fit(
-        stretch_noise(components.noise, alpha, config.noise, variant, seed=config.seed),
-        length,
-    )
-    out = AudioBuffer(
-        sines.samples + transients.samples + noise.samples, components.sines.sample_rate
-    )
-    return out, BranchOutputs(sines, transients, noise)
+    noise = stretch_noise(components.noise, alpha, config.noise, variant, seed=config.seed)
+    out = AudioBuffer(sines.samples + transients.samples + noise.samples, rate)
+    return out, BranchOutputs(sines, transients, noise, events)
 
 
 def time_stretch(x: AudioBuffer, config: StretchConfig) -> AudioBuffer:
@@ -101,20 +84,9 @@ def time_stretch(x: AudioBuffer, config: StretchConfig) -> AudioBuffer:
     deterministic function of (x, config)."""
     if len(x) == 0:
         raise ConfigurationError("cannot stretch an empty signal")
-    mode = config.mode
-    if mode in ("nm", "ni"):
-        components = stn_decompose(x, config.stn)
-        out, _ = stretch_components(components, config)
+    if config.mode in ("nm", "ni"):
+        out, _ = stretch_components(stn_decompose(x, config.stn), config)
         return out
-    length = output_length(len(x), config.alpha)
-    if mode == "nd":
-        return _fit(
-            stretch_noise(x, config.alpha, config.noise, VARIANT_MULTIPLY, seed=config.seed),
-            length,
-        )
-    return _fit(time_stretch_anchor(x, config.alpha, config.pv), length)
-
-
-def time_stretch_anchor(x: AudioBuffer, alpha: float, params: PvParams | None = None) -> AudioBuffer:
-    """Plain phase vocoder over the whole mixture, no peak locking."""
-    return stretch_plain(x, alpha, params)
+    if config.mode == "nd":
+        return stretch_noise(x, config.alpha, config.noise, VARIANT_MULTIPLY, seed=config.seed)
+    return stretch_plain(x, config.alpha, config.pv)

@@ -11,7 +11,7 @@ to the input by construction.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -75,8 +75,9 @@ class StnConfig:
     long_hop: int = 2048
     short_window: int = 512
     short_hop: int = 128
-    stage1: StnThresholds = field(default_factory=lambda: STAGE1_THRESHOLDS)
-    stage2: StnThresholds = field(default_factory=lambda: STAGE2_THRESHOLDS)
+    # copies: config overrides mutate these in place
+    stage1: StnThresholds = field(default_factory=lambda: replace(STAGE1_THRESHOLDS))
+    stage2: StnThresholds = field(default_factory=lambda: replace(STAGE2_THRESHOLDS))
     time_median_span_s: float = 0.2
     freq_median_span_hz: float = 500.0
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AudioBuffer, StftParams, _window_overlap_sum
+from .core import AudioBuffer, StftParams, _window_overlap_sum, output_length
 from .errors import ConfigurationError
 
 
@@ -23,7 +23,6 @@ from .errors import ConfigurationError
 class PvParams:
     window_size: int = 4096
     synthesis_hop: int = 1024
-    alpha: float = 1.0
 
     def __post_init__(self):
         if self.window_size <= 0 or self.synthesis_hop <= 0:
@@ -33,8 +32,6 @@ class PvParams:
                 f"synthesis_hop {self.synthesis_hop} exceeds half the window "
                 f"({self.window_size // 2})"
             )
-        if not np.isfinite(self.alpha) or self.alpha <= 0:
-            raise ConfigurationError(f"alpha must be positive and finite, got {self.alpha}")
 
 
 def find_peaks(mag_frame: np.ndarray):
@@ -74,7 +71,7 @@ def _princarg(phi):
 
 def _pv_stretch(x: np.ndarray, alpha: float, window_size: int, synth_hop: int,
                 locked: bool) -> np.ndarray:
-    out_length = int(round(alpha * len(x)))
+    out_length = output_length(len(x), alpha)
     if out_length == 0 or len(x) == 0:
         return np.zeros(out_length)
     params = StftParams(window_size, synth_hop)
@@ -125,15 +122,13 @@ def _locked_phases(mag, phase, psi_prev, inst, synth_hop):
     return phase + np.repeat(rotation, lengths)
 
 
-def stretch_sines(sines: AudioBuffer, params: PvParams | None = None,
-                  alpha: float | None = None) -> AudioBuffer:
+def stretch_sines(sines: AudioBuffer, alpha: float, params: PvParams | None = None) -> AudioBuffer:
     """Time-stretch with identity phase locking; output len = round(alpha*N)."""
     if params is None:
         params = PvParams()
-    a = params.alpha if alpha is None else alpha
-    if not np.isfinite(a) or a <= 0:
-        raise ConfigurationError(f"alpha must be positive and finite, got {a}")
-    out = _pv_stretch(sines.samples, a, params.window_size, params.synthesis_hop, True)
+    if not np.isfinite(alpha) or alpha <= 0:
+        raise ConfigurationError(f"alpha must be positive and finite, got {alpha}")
+    out = _pv_stretch(sines.samples, alpha, params.window_size, params.synthesis_hop, True)
     return AudioBuffer(out, sines.sample_rate)
 
 

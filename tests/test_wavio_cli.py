@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
+from stretchkit import cli, pipeline
 from stretchkit.cli import apply_config_values, main, parse_config_file, scale_for_rate
 from stretchkit.core import AudioBuffer
 from stretchkit.errors import AudioIOError, ConfigurationError
@@ -86,6 +87,12 @@ def test_apply_config_values():
         apply_config_values(StretchConfig(), {"alpha": "fast"})
 
 
+def test_threshold_override_is_per_config():
+    apply_config_values(StretchConfig(), {"stn.stage1.beta_u": "0.95"})
+    fresh = StretchConfig().stn.stage1
+    assert (fresh.beta_u, fresh.beta_l) == (0.80, 0.70)
+
+
 def test_scale_for_rate():
     config = scale_for_rate(StretchConfig(), 22050, set())
     assert config.noise.window_size == 1024
@@ -128,6 +135,15 @@ def test_cli_exit_codes(tmp_path):
     assert main([str(inp), str(out)]) == 2  # missing alpha
     assert main([str(inp), str(out), "--alpha", "-1"]) == 2
     assert main([str(tmp_path / "missing.wav"), str(out), "--alpha", "2"]) == 1
+    cfg = tmp_path / "c.cfg"
+    for line in [
+        "stn.stage1.beta_l = 0.99",  # above beta_u
+        "pv.synthesis_hop = 3000",  # above half the window
+        "noise.seed = 1",  # the seed is the top-level key only
+        "pv.alpha = 2",  # alpha is the top-level key only
+    ]:
+        cfg.write_text(line + "\n")
+        assert main([str(inp), str(out), "--alpha", "2", "--config", str(cfg)]) == 2, line
 
 
 def test_cli_config_file_and_override(tmp_path, capsys):
@@ -163,6 +179,23 @@ def test_cli_stems_and_onsets(tmp_path):
     assert len(rows) > 1
     for inp_s, out_s in rows[1:]:
         assert int(out_s) == round(2 * int(inp_s))
+
+
+def test_cli_detects_events_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(original):
+        def detect(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+        return detect
+
+    for module in (pipeline, cli):
+        monkeypatch.setattr(module, "detect_events", counted(module.detect_events))
+    inp = write_input(tmp_path, "click_train", 1.0)
+    assert main([str(inp), str(tmp_path / "out.wav"), "--alpha", "2", "--mode", "nm",
+                 "--onsets", str(tmp_path / "onsets.csv")]) == 0
+    assert len(calls) == 1
 
 
 def test_cli_bit_depth_option(tmp_path):
