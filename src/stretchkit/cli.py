@@ -15,9 +15,12 @@ Keys are the StretchConfig fields, nested ones dotted, e.g.:
     stn.long_window = 8192
     transient.fade_s = 0.005
 
-Command-line flags override config-file values. An unknown key exits 2,
-including noise.seed and pv.alpha (seed and alpha are top-level keys only),
-and so does a value that fails validation.
+Command-line flags override config-file values. Window and hop defaults are
+rescaled for inputs not at 44.1 kHz; the file values and flags are applied
+after that scaling, so they are taken literally, and the final config is
+validated once. An unknown key exits 2, including a key that names a section
+(stn.stage1) and noise.seed and pv.alpha (seed and alpha are top-level keys
+only), and so does a value that fails validation.
 """
 
 from __future__ import annotations
@@ -41,10 +44,9 @@ from .wavio import BIT_DEPTHS, read_wav, write_wav
 log = logging.getLogger("stretchkit")
 
 RATE_SCALED_FIELDS = {
-    ("stn", "long_window"), ("stn", "long_hop"),
-    ("stn", "short_window"), ("stn", "short_hop"),
-    ("noise", "window_size"), ("noise", "hop_size"),
-    ("pv", "window_size"), ("pv", "synthesis_hop"),
+    "stn": ("long_window", "long_hop", "short_window", "short_hop"),
+    "noise": ("window_size", "hop_size"),
+    "pv": ("window_size", "synthesis_hop"),
 }
 
 
@@ -85,7 +87,7 @@ def parse_config_file(path: Path) -> dict:
     return values
 
 
-def _coerce(current, text: str, key: str):
+def _coerce(current, text, key: str):
     kind = type(current)
     try:
         return kind(text)
@@ -93,77 +95,57 @@ def _coerce(current, text: str, key: str):
         raise ConfigurationError(f"config key {key}: cannot parse {text!r} as {kind.__name__}")
 
 
-def _validate_sections(config) -> None:
-    """Re-run the __post_init__ checks of every nested config section, which
-    setattr-based overrides bypass. The top level is checked once the
-    command-line flags are applied."""
-    for f in dataclasses.fields(config):
-        section = getattr(config, f.name)
-        if dataclasses.is_dataclass(section):
-            _validate_sections(section)
-            if hasattr(section, "__post_init__"):
-                section.__post_init__()
-
-
 def apply_config_values(config: StretchConfig, values: dict) -> StretchConfig:
+    """A copy of config with the dotted keys in values set.
+
+    Each touched section is rebuilt once with dataclasses.replace, so its
+    checks run on all of its final values, whatever the order of the keys.
+    """
+    return _replace_keys(config, values, "")
+
+
+def _replace_keys(section, values: dict, prefix: str):
+    names = {f.name for f in dataclasses.fields(section)}
+    changes, nested = {}, {}
     for key, text in values.items():
-        parts = key.split(".")
-        target = config
-        for part in parts[:-1]:
-            if not hasattr(target, part):
-                raise ConfigurationError(f"unknown config section {key!r}")
-            target = getattr(target, part)
-        leaf = parts[-1]
-        if not dataclasses.is_dataclass(target) or not hasattr(target, leaf):
-            raise ConfigurationError(f"unknown config key {key!r}")
-        setattr(target, leaf, _coerce(getattr(target, leaf), text, key))
-    _validate_sections(config)
-    return config
+        head, dot, rest = key.partition(".")
+        if head not in names or dataclasses.is_dataclass(getattr(section, head)) != bool(dot):
+            raise ConfigurationError(f"unknown config key {prefix + key!r}")
+        if dot:
+            nested.setdefault(head, {})[rest] = text
+        else:
+            changes[head] = _coerce(getattr(section, head), text, prefix + key)
+    for head, sub_values in nested.items():
+        changes[head] = _replace_keys(getattr(section, head), sub_values, f"{prefix}{head}.")
+    return dataclasses.replace(section, **changes)
 
 
-def scale_for_rate(config: StretchConfig, sample_rate: int,
-                   explicit: set[str]) -> StretchConfig:
-    """Rescale sample-denominated defaults when the input is not 44.1 kHz.
+def scale_for_rate(config: StretchConfig, sample_rate: int) -> StretchConfig:
+    """Rescale the sample-denominated settings when the input is not 44.1 kHz.
 
     Time-denominated settings (median spans, fades) are already in seconds.
-    Values the user set explicitly are taken literally.
+    The scaled sections are rebuilt, so their checks run on the new values.
     """
     if sample_rate == 44100:
         return config
     ratio = sample_rate / 44100.0
-    for section, name in RATE_SCALED_FIELDS:
-        if f"{section}.{name}" in explicit:
-            continue
+    scaled = {}
+    for section, names in RATE_SCALED_FIELDS.items():
         target = getattr(config, section)
-        scaled = max(2, int(round(getattr(target, name) * ratio / 2)) * 2)
-        setattr(target, name, scaled)
-    return config
-
-
-def _load_stretch_config(args) -> tuple[StretchConfig, set[str]]:
-    config = StretchConfig()
-    explicit: set[str] = set()
-    if args.config is not None:
-        values = parse_config_file(args.config)
-        explicit = set(values)
-        config = apply_config_values(config, values)
-    if args.alpha is not None:
-        config.alpha = args.alpha
-    elif "alpha" not in explicit:
-        raise ConfigurationError("--alpha is required (or set alpha in --config)")
-    if args.mode is not None:
-        config.mode = args.mode
-    if args.seed is not None:
-        config.seed = args.seed
-    # re-run dataclass validation after mutation
-    config.__post_init__()
-    return config, explicit
+        scaled[section] = dataclasses.replace(target, **{
+            name: max(2, int(round(getattr(target, name) * ratio / 2)) * 2) for name in names
+        })
+    return dataclasses.replace(config, **scaled)
 
 
 def run(args) -> int:
-    config, explicit = _load_stretch_config(args)
+    values = parse_config_file(args.config) if args.config is not None else {}
+    flags = {"alpha": args.alpha, "mode": args.mode, "seed": args.seed}
+    values.update((key, value) for key, value in flags.items() if value is not None)
+    if "alpha" not in values:
+        raise ConfigurationError("--alpha is required (or set alpha in --config)")
     x = read_wav(args.input)
-    config = scale_for_rate(config, x.sample_rate, explicit)
+    config = apply_config_values(scale_for_rate(StretchConfig(), x.sample_rate), values)
 
     started = time.perf_counter()
     if config.mode in ("nm", "ni"):

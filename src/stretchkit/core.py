@@ -102,6 +102,12 @@ class StftParams:
         return _windows.hann(self.window_size, sym=False)
 
 
+def check_alpha(alpha: float) -> None:
+    """Reject a stretch factor that is not positive and finite."""
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ConfigurationError(f"alpha must be positive and finite, got {alpha}")
+
+
 def output_length(input_length: int, alpha: float) -> int:
     """Length of a signal of input_length samples stretched by alpha:
     round(alpha * input_length), the length every stretch method returns."""

@@ -135,44 +135,3 @@ def interpolate_rows(values: np.ndarray, alpha: float) -> np.ndarray:
     return np.stack([np.interp(pos, np.arange(m), values[:, k])
                      for k in range(values.shape[1])], axis=1)
 
-
-def measure(kind: str, signal: AudioBuffer, reference=None, **kwargs) -> MetricReport:
-    """Generic measurement entry point returning a MetricReport.
-
-    kinds: dominant_freq, length, rise_time, onset_positions. Comparisons
-    needing a reference raise a configuration error when it is missing.
-    """
-    if len(signal) == 0:
-        raise ConfigurationError("cannot measure an empty signal")
-    if kind == "dominant_freq":
-        value = dominant_frequency(signal)
-        target = kwargs.get("target", value)
-        tol = kwargs.get("tolerance", 0.5)
-        return MetricReport("measure", kind, value, target, tol,
-                            bool(abs(value - target) <= tol))
-    if kind == "length":
-        if reference is None and "target" not in kwargs:
-            raise ConfigurationError("length measurement needs a reference or target")
-        target = kwargs.get("target", len(reference) if reference is not None else 0)
-        value = float(len(signal))
-        return MetricReport("measure", kind, value, target, 0.0, value == target)
-    if kind == "rise_time":
-        if "center_s" not in kwargs:
-            raise ConfigurationError("rise_time needs center_s")
-        value = rise_time(signal, kwargs["center_s"], kwargs.get("half_window_s", 0.05))
-        target = kwargs.get("target", value)
-        tol = kwargs.get("tolerance", np.inf)
-        return MetricReport("measure", kind, value, target, tol,
-                            bool(abs(value - target) <= tol))
-    if kind == "onset_positions":
-        if reference is None and "expected_times" not in kwargs:
-            raise ConfigurationError("onset_positions needs expected_times")
-        expected = np.asarray(kwargs["expected_times"])
-        found = onset_positions(signal)
-        tol = kwargs.get("tolerance", 0.010)
-        if len(found) != len(expected):
-            return MetricReport("measure", kind, float(len(found)), float(len(expected)),
-                                0.0, False, "onset count mismatch")
-        dev = float(np.max(np.abs(found - expected))) if len(expected) else 0.0
-        return MetricReport("measure", kind, dev, 0.0, tol, bool(dev <= tol))
-    raise ConfigurationError(f"unknown measurement kind {kind!r}")

@@ -13,22 +13,36 @@ discards the excitation magnitudes and keeps only their phases.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AudioBuffer, Spectrogram, StftParams, istft, output_length, stft, window_energy
+from .core import (
+    AudioBuffer,
+    Spectrogram,
+    StftParams,
+    check_alpha,
+    istft,
+    output_length,
+    stft,
+    window_energy,
+)
 from .errors import ConfigurationError
 
 VARIANT_MULTIPLY = "multiply"
 VARIANT_REPLACE = "replace"
 
 
-@dataclass
+@dataclass(frozen=True)
 class NoiseMorphParams:
     window_size: int = 2048
     hop_size: int = 1024
     floor_db: float = -120.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.floor_db):
+            raise ConfigurationError(f"floor_db must be finite, got {self.floor_db}")
 
     def stft_params(self) -> StftParams:
         return StftParams(self.window_size, self.hop_size)
@@ -48,8 +62,7 @@ def lerp_frames(logmag: Spectrogram, alpha: float) -> Spectrogram:
     the valid range), blending the two neighboring frames per bin. alpha = 1
     is the exact identity.
     """
-    if alpha <= 0:
-        raise ConfigurationError(f"alpha must be positive, got {alpha}")
+    check_alpha(alpha)
     m = logmag.n_frames
     if m == 0:
         return logmag.copy_with(np.zeros((0, logmag.values.shape[1])))
@@ -125,8 +138,7 @@ def stretch_noise(
         params = NoiseMorphParams()
     if variant not in (VARIANT_MULTIPLY, VARIANT_REPLACE):
         raise ConfigurationError(f"unknown morph variant {variant!r}")
-    if alpha <= 0:
-        raise ConfigurationError(f"alpha must be positive, got {alpha}")
+    check_alpha(alpha)
     sp = params.stft_params()
     out_length = output_length(len(noise), alpha)
     if out_length == 0:

@@ -13,9 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .core import AudioBuffer, output_length
+from .core import AudioBuffer, check_alpha, output_length
 from .errors import ConfigurationError
 from .noisemorph import (
     VARIANT_MULTIPLY,
@@ -30,7 +28,7 @@ from .vocoder import PvParams, stretch_plain, stretch_sines
 MODES = ("nm", "ni", "nd", "an")
 
 
-@dataclass
+@dataclass(frozen=True)
 class StretchConfig:
     alpha: float = 1.0
     mode: str = "nm"
@@ -41,11 +39,12 @@ class StretchConfig:
     transient: TransientDetectParams = field(default_factory=TransientDetectParams)
 
     def __post_init__(self):
-        self.mode = self.mode.lower()
+        object.__setattr__(self, "mode", self.mode.lower())
         if self.mode not in MODES:
             raise ConfigurationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not np.isfinite(self.alpha) or self.alpha <= 0:
-            raise ConfigurationError(f"alpha must be positive and finite, got {self.alpha}")
+        check_alpha(self.alpha)
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

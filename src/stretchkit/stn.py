@@ -10,8 +10,9 @@ to the input by construction.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .core import (
 from .errors import ConfigurationError
 
 
-@dataclass
+@dataclass(frozen=True)
 class StnThresholds:
     """Upper/lower saturation thresholds for the soft-mask function."""
 
@@ -66,7 +67,7 @@ class StnComponents:
     noise: AudioBuffer
 
 
-@dataclass
+@dataclass(frozen=True)
 class StnConfig:
     """Window/hop per stage (samples at the processing rate), thresholds,
     and the median-filter spans in physical units."""
@@ -75,11 +76,16 @@ class StnConfig:
     long_hop: int = 2048
     short_window: int = 512
     short_hop: int = 128
-    # copies: config overrides mutate these in place
-    stage1: StnThresholds = field(default_factory=lambda: replace(STAGE1_THRESHOLDS))
-    stage2: StnThresholds = field(default_factory=lambda: replace(STAGE2_THRESHOLDS))
+    stage1: StnThresholds = STAGE1_THRESHOLDS
+    stage2: StnThresholds = STAGE2_THRESHOLDS
     time_median_span_s: float = 0.2
     freq_median_span_hz: float = 500.0
+
+    def __post_init__(self):
+        for name in ("time_median_span_s", "freq_median_span_hz"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigurationError(f"{name} must be positive and finite, got {value}")
 
 
 def saturating_mask(a, thresholds: StnThresholds):

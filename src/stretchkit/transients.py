@@ -9,15 +9,16 @@ segments themselves are never time-stretched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import AudioBuffer
+from .core import AudioBuffer, check_alpha
 from .errors import ConfigurationError
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransientDetectParams:
     """All values in seconds except the unitless threshold settings."""
 
@@ -29,6 +30,17 @@ class TransientDetectParams:
     max_event_s: float = 0.100
     fade_s: float = 0.005
     min_gap_s: float = 0.020
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ConfigurationError(f"{f.name} must be finite, got {value}")
+            if f.name.endswith("_s") and value < 0:
+                raise ConfigurationError(f"{f.name} must be non-negative, got {value}")
+        for name in ("frame_s", "hop_s", "rel_threshold"):
+            if getattr(self, name) <= 0:
+                raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 @dataclass
@@ -133,8 +145,7 @@ def reposition_events(
     Segments whose tail would run past out_length are clipped; overlapping
     repositioned segments are summed (the edge fades keep that click-free).
     """
-    if alpha <= 0:
-        raise ConfigurationError(f"alpha must be positive, got {alpha}")
+    check_alpha(alpha)
     if out_length < 0:
         raise ConfigurationError("out_length must be non-negative")
     out = np.zeros(out_length)

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AudioBuffer, StftParams, _window_overlap_sum, output_length
+from .core import AudioBuffer, StftParams, _window_overlap_sum, check_alpha, output_length
 from .errors import ConfigurationError
 
 
-@dataclass
+@dataclass(frozen=True)
 class PvParams:
     window_size: int = 4096
     synthesis_hop: int = 1024
@@ -126,8 +126,7 @@ def stretch_sines(sines: AudioBuffer, alpha: float, params: PvParams | None = No
     """Time-stretch with identity phase locking; output len = round(alpha*N)."""
     if params is None:
         params = PvParams()
-    if not np.isfinite(alpha) or alpha <= 0:
-        raise ConfigurationError(f"alpha must be positive and finite, got {alpha}")
+    check_alpha(alpha)
     out = _pv_stretch(sines.samples, alpha, params.window_size, params.synthesis_hop, True)
     return AudioBuffer(out, sines.sample_rate)
 
@@ -136,7 +135,6 @@ def stretch_plain(x: AudioBuffer, alpha: float, params: PvParams | None = None) 
     """Plain phase vocoder (no phase locking); the listening-test anchor."""
     if params is None:
         params = PvParams()
-    if not np.isfinite(alpha) or alpha <= 0:
-        raise ConfigurationError(f"alpha must be positive and finite, got {alpha}")
+    check_alpha(alpha)
     out = _pv_stretch(x.samples, alpha, params.window_size, params.synthesis_hop, False)
     return AudioBuffer(out, x.sample_rate)

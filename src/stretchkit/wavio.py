@@ -75,8 +75,8 @@ def write_wav(buffer: AudioBuffer, path, bit_depth: str = "float32") -> None:
 
 def _write_pcm24(path, sample_rate: int, x: np.ndarray) -> None:
     ints = np.round(x * 8388607.0).astype(np.int32)
-    raw = ints.astype("<i4").tobytes()
-    frames = b"".join(raw[i : i + 3] for i in range(0, len(raw), 4))
+    # the low three bytes of each little-endian int32
+    frames = ints.astype("<i4").view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
     with wave.open(str(path), "wb") as f:
         f.setnchannels(1)
         f.setsampwidth(3)

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
-from stretchkit.core import AudioBuffer
+from stretchkit.core import AudioBuffer, Spectrogram
 from stretchkit.errors import ConfigurationError
 from stretchkit.metrics import dominant_frequency, onset_positions
+from stretchkit.noisemorph import NoiseMorphParams, lerp_frames, stretch_noise
 from stretchkit.pipeline import (
     MODES,
     StretchConfig,
@@ -12,7 +15,9 @@ from stretchkit.pipeline import (
     time_stretch,
 )
 from stretchkit.signals import click_times, gen_signal
-from stretchkit.stn import stn_decompose
+from stretchkit.stn import StnConfig, stn_decompose
+from stretchkit.transients import TransientDetectParams, reposition_events
+from stretchkit.vocoder import stretch_plain, stretch_sines
 
 SR = 44100
 
@@ -46,6 +51,45 @@ def test_invalid_config_rejected():
 
 def test_mode_is_case_insensitive():
     assert StretchConfig(mode="NM").mode == "nm"
+
+
+_BUF = AudioBuffer(np.zeros(64), SR)
+ALPHA_USERS = {
+    "StretchConfig": lambda a: StretchConfig(alpha=a),
+    "stretch_sines": lambda a: stretch_sines(_BUF, a),
+    "stretch_plain": lambda a: stretch_plain(_BUF, a),
+    "stretch_noise": lambda a: stretch_noise(_BUF, a),
+    "lerp_frames": lambda a: lerp_frames(Spectrogram(np.zeros((2, 3)), 4, 2, SR), a),
+    "reposition_events": lambda a: reposition_events([], a, 10),
+}
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("user", sorted(ALPHA_USERS))
+def test_every_alpha_user_rejects_bad_alpha(user, alpha):
+    with pytest.raises(ConfigurationError, match="alpha must be positive and finite"):
+        ALPHA_USERS[user](alpha)
+
+
+SECTION_CHECKS = [
+    (StretchConfig, "seed", -1),
+    (StnConfig, "time_median_span_s", math.inf),
+    (StnConfig, "freq_median_span_hz", math.nan),
+    (StnConfig, "freq_median_span_hz", 0.0),
+    (NoiseMorphParams, "floor_db", -math.inf),
+    (TransientDetectParams, "hop_s", math.nan),
+    (TransientDetectParams, "frame_s", 0.0),
+    (TransientDetectParams, "rel_threshold", 0.0),
+    (TransientDetectParams, "fade_s", -0.001),
+    (TransientDetectParams, "abs_floor", math.inf),
+]
+
+
+@pytest.mark.parametrize("section,name,value", SECTION_CHECKS,
+                         ids=[f"{s.__name__}.{n}={v}" for s, n, v in SECTION_CHECKS])
+def test_section_checks(section, name, value):
+    with pytest.raises(ConfigurationError, match=name):
+        section(**{name: value})
 
 
 @pytest.mark.parametrize("mode", ["nm", "ni", "an"])

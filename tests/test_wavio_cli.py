@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import wave
 
 import numpy as np
 import pytest
@@ -29,6 +31,16 @@ def test_write_read_roundtrip(tmp_path, depth, tol):
     assert back.sample_rate == SR
     assert len(back) == len(buf)
     assert np.max(np.abs(back.samples - buf.samples)) <= tol
+
+
+def test_pcm24_bytes_match_per_sample_packing(tmp_path):
+    x = np.concatenate([make_buf(1000).samples, [-1.0, 1.0, 0.0, -1e-7, 1e-7]])
+    path = tmp_path / "x.wav"
+    write_wav(AudioBuffer(x, SR), path, "24")
+    raw = np.round(x * 8388607.0).astype("<i4").tobytes()
+    expected = b"".join(raw[i : i + 3] for i in range(0, len(raw), 4))
+    with wave.open(str(path), "rb") as f:
+        assert f.readframes(f.getnframes()) == expected
 
 
 def test_write_clips_out_of_range(tmp_path):
@@ -85,6 +97,11 @@ def test_apply_config_values():
         apply_config_values(StretchConfig(), {"bogus.key": "1"})
     with pytest.raises(ConfigurationError):
         apply_config_values(StretchConfig(), {"alpha": "fast"})
+    # a section is rebuilt once from all of its keys, in either order
+    for values in ({"stn.stage1.beta_l": "0.85", "stn.stage1.beta_u": "0.95"},
+                   {"stn.stage1.beta_u": "0.95", "stn.stage1.beta_l": "0.85"}):
+        stage1 = apply_config_values(StretchConfig(), values).stn.stage1
+        assert (stage1.beta_u, stage1.beta_l) == (0.95, 0.85)
 
 
 def test_threshold_override_is_per_config():
@@ -94,18 +111,47 @@ def test_threshold_override_is_per_config():
 
 
 def test_scale_for_rate():
-    config = scale_for_rate(StretchConfig(), 22050, set())
+    config = scale_for_rate(StretchConfig(), 22050)
     assert config.noise.window_size == 1024
     assert config.stn.long_window == 4096
-    kept = scale_for_rate(StretchConfig(), 22050, {"noise.window_size"})
+    # values applied after scaling keep their value
+    kept = apply_config_values(scale_for_rate(StretchConfig(), 22050),
+                               {"noise.window_size": "2048"})
     assert kept.noise.window_size == 2048
-    same = scale_for_rate(StretchConfig(), 44100, set())
+    assert kept.noise.hop_size == 512
+    same = scale_for_rate(StretchConfig(), 44100)
     assert same.noise.window_size == 2048
 
 
-def write_input(tmp_path, kind="click_plus_hiss", duration=0.6):
+def sections_and_leaves(config, prefix=""):
+    """(sections, {dotted key: default}) found by walking dataclasses.fields."""
+    sections, leaves = [config], {}
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if dataclasses.is_dataclass(value):
+            more, more_leaves = sections_and_leaves(value, f"{prefix}{f.name}.")
+            sections += more
+            leaves.update(more_leaves)
+        else:
+            leaves[prefix + f.name] = value
+    return sections, leaves
+
+
+def test_settable_keys_and_frozen_sections():
+    default = StretchConfig()
+    sections, leaves = sections_and_leaves(default)
+    assert len(leaves) == 26
+    text = {key: str(value) for key, value in leaves.items()}
+    assert apply_config_values(default, text) == default
+    assert len(sections) == 7  # config, stn, stage1, stage2, noise, pv, transient
+    for section in sections:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(section, dataclasses.fields(section)[0].name, 1)
+
+
+def write_input(tmp_path, kind="click_plus_hiss", duration=0.6, sample_rate=SR):
     path = tmp_path / "in.wav"
-    write_wav(gen_signal(kind, duration, seed=3), path, "float32")
+    write_wav(gen_signal(kind, duration, sample_rate, seed=3), path, "float32")
     return path
 
 
@@ -129,7 +175,7 @@ def test_cli_reruns_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     inp = write_input(tmp_path)
     out = tmp_path / "out.wav"
     assert main([str(inp), str(out)]) == 2  # missing alpha
@@ -141,9 +187,45 @@ def test_cli_exit_codes(tmp_path):
         "pv.synthesis_hop = 3000",  # above half the window
         "noise.seed = 1",  # the seed is the top-level key only
         "pv.alpha = 2",  # alpha is the top-level key only
+        "stn.stage1 = 3",  # names a section
+        "noise.stft_params = 1",  # names a method
+        "stn.time_median_span_s = inf",
+        "stn.freq_median_span_hz = nan",
+        "transient.hop_s = nan",
+        "seed = -1",
     ]:
         cfg.write_text(line + "\n")
+        capsys.readouterr()
         assert main([str(inp), str(out), "--alpha", "2", "--config", str(cfg)]) == 2, line
+        assert "configuration error:" in capsys.readouterr().err, line
+
+
+def test_cli_validates_scaled_config(tmp_path):
+    out = tmp_path / "out.wav"
+    cfg = tmp_path / "c.cfg"
+    # the scaled synthesis hop (2230) exceeds half the literal 4096 window
+    cfg.write_text("pv.window_size = 4096\n")
+    inp = write_input(tmp_path, "sine", 0.2, 96000)
+    assert main([str(inp), str(out), "--alpha", "2", "--mode", "an",
+                 "--config", str(cfg)]) == 2
+    # the unscaled hop (1024) would exceed half of 512, the scaled one (186) does not
+    cfg.write_text("pv.window_size = 512\n")
+    inp = write_input(tmp_path, "sine", 0.2, 8000)
+    assert main([str(inp), str(out), "--alpha", "2", "--mode", "an",
+                 "--config", str(cfg)]) == 0
+    assert len(read_wav(out)) == 2 * len(read_wav(inp))
+
+
+@pytest.mark.parametrize("lines", [
+    "stn.stage1.beta_l = 0.85\nstn.stage1.beta_u = 0.95\n",
+    "stn.stage1.beta_u = 0.95\nstn.stage1.beta_l = 0.85\n",
+])
+def test_cli_threshold_keys_in_any_order(tmp_path, lines):
+    inp = write_input(tmp_path, duration=0.3)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(lines)
+    assert main([str(inp), str(tmp_path / "out.wav"), "--alpha", "2",
+                 "--config", str(cfg)]) == 0
 
 
 def test_cli_config_file_and_override(tmp_path, capsys):
