@@ -3,22 +3,23 @@
 All analysis uses one-sided spectra of real signals (K = window/2 + 1 bins)
 and 64-bit floats internally. The ISTFT performs weighted overlap-add with
 per-sample window-squared normalization, which reconstructs the input
-exactly wherever at least one nonzero window value covers a sample.
+exactly wherever at least one nonzero window value covers a sample. The
+truncated-edge median is computed in one pass, edges and interior alike.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
-from scipy.signal import windows as _windows
 
 from .errors import ConfigurationError
 
 TIME_AXIS = "time"
 FREQ_AXIS = "frequency"
+
+_MEDIAN_BLOCK = 1 << 20  # values per sorted median chunk (8 MB)
 
 
 @dataclass
@@ -73,11 +74,10 @@ class Spectrogram:
 
 @dataclass
 class StftParams:
-    """Analysis/synthesis framing: window length, hop, and window kind."""
+    """Analysis/synthesis framing: window length and hop."""
 
     window_size: int
     hop_size: int
-    window_kind: str = "hann"
 
     def __post_init__(self):
         if self.window_size <= 0:
@@ -88,24 +88,27 @@ class StftParams:
             raise ConfigurationError(
                 f"hop_size {self.hop_size} exceeds window_size {self.window_size}"
             )
-        if self.window_kind not in ("hann", "rect"):
-            raise ConfigurationError(f"unsupported window kind {self.window_kind!r}")
 
     @property
     def n_bins(self) -> int:
         return self.window_size // 2 + 1
 
     def window(self) -> np.ndarray:
-        if self.window_kind == "rect":
-            return np.ones(self.window_size)
-        # periodic Hann, so sum(w^2) = 3L/8 exactly
-        return _windows.hann(self.window_size, sym=False)
+        """Periodic Hann, so sum(w^2) = 3L/8 exactly; a single 1 for L = 1."""
+        n = self.window_size
+        return np.ones(1) if n == 1 else 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)[:-1])
 
 
 def check_alpha(alpha: float) -> None:
     """Reject a stretch factor that is not positive and finite."""
     if not (math.isfinite(alpha) and alpha > 0):
         raise ConfigurationError(f"alpha must be positive and finite, got {alpha}")
+
+
+def check_seed(seed: int) -> None:
+    """Reject a seed the PCG64 generator cannot take."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ConfigurationError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def output_length(input_length: int, alpha: float) -> int:
@@ -151,32 +154,26 @@ def _window_overlap_sum(window: np.ndarray, n_frames: int, hop: int, length: int
     return acc
 
 
-def istft(spec: Spectrogram, params: StftParams, target_length="auto") -> AudioBuffer:
+def istft(spec: Spectrogram, target_length="auto") -> AudioBuffer:
     """Weighted overlap-add inverse STFT with window-sum normalization.
 
-    With target_length="auto" the output spans (M-1)*hop + window samples;
-    otherwise the result is trimmed or zero-padded to the requested length.
-    Round-trips istft(stft(x)) exactly wherever the accumulated squared
-    window is nonzero.
+    The spectrogram's window size and hop are the framing. With
+    target_length="auto" the output spans (M-1)*hop + window samples;
+    otherwise it is trimmed or zero-padded to that length. Round-trips
+    istft(stft(x)) exactly wherever the accumulated squared window is nonzero.
     """
-    if spec.window_size != params.window_size or spec.hop_size != params.hop_size:
-        raise ConfigurationError(
-            f"spectrogram framing ({spec.window_size}/{spec.hop_size}) does not match "
-            f"params ({params.window_size}/{params.hop_size})"
-        )
-    w, h = params.window_size, params.hop_size
+    w, h = spec.window_size, spec.hop_size
     m = spec.n_frames
     full_len = (m - 1) * h + w if m else 0
     out = np.zeros(full_len)
-    if m:
-        win = params.window()
-        frames = np.fft.irfft(spec.values, n=w, axis=1) * win
-        for i in range(m):
-            out[i * h : i * h + w] += frames[i]
-        wsum = _window_overlap_sum(win, m, h, full_len)
-        covered = wsum > 0.0
-        out[covered] /= wsum[covered]
-        out[~covered] = 0.0
+    win = StftParams(w, h).window()
+    frames = np.fft.irfft(spec.values, n=w, axis=1) * win
+    for i in range(m):
+        out[i * h : i * h + w] += frames[i]
+    wsum = _window_overlap_sum(win, m, h, full_len)
+    covered = wsum > 0.0
+    out[covered] /= wsum[covered]
+    out[~covered] = 0.0
     if target_length == "auto":
         target_length = full_len
     if target_length < 0:
@@ -188,40 +185,39 @@ def istft(spec: Spectrogram, params: StftParams, target_length="auto") -> AudioB
     return AudioBuffer(out, spec.sample_rate)
 
 
-def _truncated_median_edges(values, out, axis, length):
-    """Recompute edge positions with medians over the available neighbors."""
-    half = length // 2
-    n = values.shape[axis]
-    idx = set(range(min(half, n))) | set(range(max(0, n - half), n))
-    for i in sorted(idx):
-        lo, hi = max(0, i - half), min(n, i + half + 1)
-        sl = [slice(None), slice(None)]
-        sl[axis] = slice(lo, hi)
-        med = np.median(values[tuple(sl)], axis=axis)
-        dst = [slice(None), slice(None)]
-        dst[axis] = i
-        out[tuple(dst)] = med
-    return out
-
-
 def median_filter_axis(mag: Spectrogram, axis: str, length: int) -> Spectrogram:
     """Sliding median along the time or frequency axis of a magnitude grid.
 
-    Edges use truncated windows (median over the neighbors that exist), so
-    no padding values are invented. length must be odd and positive.
+    Each position takes the median over its neighbors within length // 2
+    that exist, so edges use truncated windows and no padding values are
+    invented. length must be odd and positive; values must be finite.
     """
     if length < 1 or length % 2 == 0:
         raise ConfigurationError(f"median length must be odd and positive, got {length}")
-    values = np.asarray(mag.values, dtype=np.float64)
-    if length == 1 or values.size == 0:
-        return mag.copy_with(values.copy())
     ax = {TIME_AXIS: 0, FREQ_AXIS: 1}.get(axis)
     if ax is None:
         raise ConfigurationError(f"axis must be 'time' or 'frequency', got {axis!r}")
-    size = (length, 1) if ax == 0 else (1, length)
-    # interior is exact under any boundary mode; edges fixed up below
-    out = ndimage.median_filter(values, size=size, mode="nearest")
-    out = _truncated_median_edges(values, out, ax, length)
+    values = np.asarray(mag.values, dtype=np.float64)
+    if values.size == 0:
+        return mag.copy_with(values.copy())
+    if not np.all(np.isfinite(values)):
+        raise ConfigurationError("median filter input must be finite")
+    half = length // 2
+    # NaN pads sort last: the first `count` sorted values are the real ones
+    padded = np.pad(np.moveaxis(values, ax, 0), ((half, half), (0, 0)), constant_values=np.nan)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, length, axis=0)
+    n, cols = windows.shape[:2]
+    count = length - np.isnan(windows[:, 0]).sum(axis=1)
+    lo, hi = (count - 1) // 2, count // 2
+    out = np.empty_like(values)
+    rows = max(1, _MEDIAN_BLOCK // (cols * length))
+    for r in (slice(start, start + rows) for start in range(0, n, rows)):
+        block = windows[r].copy()
+        block.sort(axis=2)
+        a, b = (np.take_along_axis(block, k[r, None, None], axis=2)[..., 0] for k in (lo, hi))
+        # an odd count keeps its middle value, like np.median, even if a + a overflows
+        with np.errstate(over="ignore"):
+            np.moveaxis(out, ax, 0)[r] = np.where((lo == hi)[r, None], a, (a + b) / 2)
     return mag.copy_with(out)
 
 

@@ -23,6 +23,7 @@ from .core import (
     Spectrogram,
     StftParams,
     check_alpha,
+    check_seed,
     istft,
     output_length,
     stft,
@@ -43,6 +44,7 @@ class NoiseMorphParams:
     def __post_init__(self):
         if not math.isfinite(self.floor_db):
             raise ConfigurationError(f"floor_db must be finite, got {self.floor_db}")
+        self.stft_params()
 
     def stft_params(self) -> StftParams:
         return StftParams(self.window_size, self.hop_size)
@@ -83,6 +85,7 @@ def generate_excitation(length: int, seed: int, sample_rate: int = 44100) -> Aud
     """
     if length < 0:
         raise ConfigurationError(f"length must be non-negative, got {length}")
+    check_seed(seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     return AudioBuffer(rng.standard_normal(length), sample_rate)
 
@@ -162,5 +165,5 @@ def stretch_noise(
     target = _pad_target_frames(target, exc_spec.n_frames, lead_frames)
 
     morphed = (morph if variant == VARIANT_MULTIPLY else morph_replace)(target, exc_spec)
-    out = istft(morphed, sp, pad + out_length)
+    out = istft(morphed, pad + out_length)
     return AudioBuffer(out.samples[pad : pad + out_length], noise.sample_rate)

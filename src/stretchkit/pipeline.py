@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import AudioBuffer, check_alpha, output_length
+from .core import AudioBuffer, check_alpha, check_seed, output_length
 from .errors import ConfigurationError
 from .noisemorph import (
     VARIANT_MULTIPLY,
@@ -43,8 +43,7 @@ class StretchConfig:
         if self.mode not in MODES:
             raise ConfigurationError(f"mode must be one of {MODES}, got {self.mode!r}")
         check_alpha(self.alpha)
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
+        check_seed(self.seed)
 
 
 @dataclass

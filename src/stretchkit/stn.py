@@ -86,6 +86,11 @@ class StnConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigurationError(f"{name} must be positive and finite, got {value}")
+        for window, hop in (("long_window", "long_hop"), ("short_window", "short_hop")):
+            try:
+                StftParams(getattr(self, window), getattr(self, hop))
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"{window}/{hop}: {exc}") from None
 
 
 def saturating_mask(a, thresholds: StnThresholds):
@@ -161,8 +166,8 @@ def _stage_split(x: AudioBuffer, params: StftParams, thresholds, config: StnConf
     r_s, r_t = tonalness_transientness(mag, t_len, f_len)
     masks = compute_masks(r_s, r_t, thresholds)
     mask = getattr(masks, keep)
-    kept = istft(spec.copy_with(spec.values * mask), params, len(xp))
-    rest = istft(spec.copy_with(spec.values * (1.0 - mask)), params, len(xp))
+    kept = istft(spec.copy_with(spec.values * mask), len(xp))
+    rest = istft(spec.copy_with(spec.values * (1.0 - mask)), len(xp))
     sl = slice(pad, pad + len(x))
     return (
         AudioBuffer(kept.samples[sl], x.sample_rate),

@@ -43,6 +43,8 @@ def read_wav(path) -> AudioBuffer:
         samples = data / 2147483648.0
     elif data.dtype in (np.float32, np.float64):
         samples = data.astype(np.float64)
+        if not np.all(np.isfinite(samples)):
+            raise AudioIOError(f"{path}: samples must be finite")
     elif data.dtype == np.uint8:
         samples = (data.astype(np.float64) - 128.0) / 128.0
     else:

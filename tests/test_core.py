@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,42 +69,37 @@ def test_stft_invalid_params_rejected():
 def test_roundtrip_white_noise_interior():
     x = white(SR)
     p = StftParams(2048, 1024)
-    y = istft(stft(x, p), p, len(x))
+    y = istft(stft(x, p), len(x))
     i = slice(2048, len(x) - 2048)
     err = np.max(np.abs(y.samples[i] - x.samples[i])) / np.max(np.abs(x.samples))
     assert err < 1e-6
 
 
 def test_istft_zero_spectrogram():
-    p = StftParams(1024, 256)
     spec = Spectrogram(np.zeros((10, 513), dtype=complex), 1024, 256, SR)
-    y = istft(spec, p)
+    y = istft(spec)
     assert len(y) == 9 * 256 + 1024
     assert np.all(y.samples == 0)
 
 
 def test_istft_single_frame_is_normalized_windowed_frame():
-    # one frame: overlap-add reduces to (w * frame) / w^2 = frame / w
-    p = StftParams(64, 32, window_kind="rect")
+    # one analysis frame w * frame: overlap-add reduces to w^2 * frame / w^2,
+    # which is the frame where w > 0 and 0 at the uncovered sample w == 0
+    w = StftParams(64, 32).window()
     frame = np.random.default_rng(1).standard_normal(64)
-    spec = Spectrogram(np.fft.rfft(frame)[None, :], 64, 32, SR)
-    y = istft(spec, p)
-    assert np.allclose(y.samples, frame, atol=1e-12)
-
-
-def test_istft_metadata_mismatch():
-    p = StftParams(1024, 256)
-    spec = Spectrogram(np.zeros((3, 513), dtype=complex), 1024, 512, SR)
-    with pytest.raises(ConfigurationError):
-        istft(spec, p)
+    spec = Spectrogram(np.fft.rfft(w * frame)[None, :], 64, 32, SR)
+    y = istft(spec).samples
+    assert len(y) == 64
+    assert np.allclose(y[w > 0], frame[w > 0], atol=1e-12)
+    assert np.array_equal(y[w == 0], [0.0])
 
 
 def test_istft_target_length_trims_and_pads():
     x = white(10000)
     p = StftParams(1024, 256)
     spec = stft(x, p)
-    assert len(istft(spec, p, 4000)) == 4000
-    assert len(istft(spec, p, 20000)) == 20000
+    assert len(istft(spec, 4000)) == 4000
+    assert len(istft(spec, 20000)) == 20000
 
 
 def test_stft_linearity():
@@ -127,7 +127,6 @@ def test_parseval_consistency():
 
 
 def test_window_energy_values():
-    assert window_energy(StftParams(500, 100, "rect")) == pytest.approx(np.sqrt(500))
     assert window_energy(StftParams(2048, 1024)) == pytest.approx(np.sqrt(3 * 2048 / 8))
 
 
@@ -175,6 +174,63 @@ def test_median_filter_order_preserving_on_monotone():
     assert np.all(np.diff(out.values[:, 0]) >= 0)
 
 
+def truncated_median(values, axis, length):
+    """np.median over the neighbors within length // 2 that exist."""
+    x = np.moveaxis(values, axis, 0)
+    half = length // 2
+    out = np.empty_like(x)
+    for i in range(x.shape[0]):
+        out[i] = np.median(x[max(0, i - half) : i + half + 1], axis=0)
+    return np.moveaxis(out, 0, axis)
+
+
+@pytest.mark.parametrize("shape", [(1, 9), (9, 1), (6, 7), (13, 4), (2, 2)])
+@pytest.mark.parametrize("axis", ["time", "frequency"])
+@pytest.mark.parametrize("kind", ["float", "ties", "huge"])
+def test_median_filter_matches_truncated_np_median(shape, axis, kind):
+    rng = np.random.default_rng(sum(shape))
+    if kind == "float":
+        values = rng.random(shape)
+    elif kind == "ties":
+        values = rng.integers(0, 3, shape).astype(float)
+    else:  # two huge values sum to inf; a median of an odd count must not
+        values = rng.uniform(1e307, np.finfo(float).max, shape)
+    ax = 0 if axis == "time" else 1
+    for length in range(1, 2 * shape[ax] + 6, 2):
+        got = median_filter_axis(mag_spec(values), axis, length).values
+        with np.errstate(over="ignore"):
+            expected = truncated_median(values, ax, length)
+        assert np.array_equal(got, expected), length
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_median_filter_rejects_nonfinite(bad):
+    values = np.ones((4, 5))
+    values[2, 3] = bad
+    with pytest.raises(ConfigurationError, match="finite"):
+        median_filter_axis(mag_spec(values), "time", 3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 512, 556, 2048, 2229, 4096, 4458, 8192, 8916])
+def test_window_is_scipy_periodic_hann(n):
+    from scipy.signal import windows
+
+    assert StftParams(n, 1).window().tobytes() == windows.hann(n, sym=False).tobytes()
+
+
+def test_import_loads_no_scipy_signal_or_ndimage():
+    import stretchkit
+
+    src = str(Path(stretchkit.__file__).resolve().parent.parent)
+    code = (
+        "import stretchkit, sys; "
+        "print(sorted(m for m in ('scipy.signal', 'scipy.ndimage') if m in sys.modules))"
+    )
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert result.stdout.strip() == "[]"
+
+
 def test_audio_buffer_rejects_nonfinite():
     with pytest.raises(ConfigurationError):
         AudioBuffer(np.array([0.0, np.nan]), SR)
@@ -190,6 +246,6 @@ def test_audio_buffer_rejects_nonfinite():
 def test_roundtrip_property(n, seed):
     x = AudioBuffer(np.random.default_rng(seed).standard_normal(n), SR)
     p = StftParams(512, 128)
-    y = istft(stft(x, p), p, len(x))
+    y = istft(stft(x, p), len(x))
     i = slice(512, max(513, n - 512))
     assert np.allclose(y.samples[i], x.samples[i], atol=1e-9)

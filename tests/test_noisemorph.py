@@ -66,6 +66,16 @@ def test_excitation_deterministic():
     assert len(generate_excitation(0, seed=1)) == 0
 
 
+@pytest.mark.parametrize("call", [
+    lambda: generate_excitation(10, -1),
+    lambda: stretch_noise(AudioBuffer(np.zeros(100), SR), 2.0, seed=-1),
+    lambda: generate_excitation(10, 1.5),
+], ids=["excitation_negative", "stretch_noise_negative", "excitation_float"])
+def test_bad_seed_is_configuration_error(call):
+    with pytest.raises(ConfigurationError, match="seed must be a non-negative integer"):
+        call()
+
+
 def test_excitation_statistics():
     eps = generate_excitation(10**6, seed=123)
     assert abs(np.mean(eps.samples)) <= 0.005

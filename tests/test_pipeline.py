@@ -76,7 +76,9 @@ SECTION_CHECKS = [
     (StnConfig, "time_median_span_s", math.inf),
     (StnConfig, "freq_median_span_hz", math.nan),
     (StnConfig, "freq_median_span_hz", 0.0),
+    (StnConfig, "short_window", 64),  # below the default short_hop 128
     (NoiseMorphParams, "floor_db", -math.inf),
+    (NoiseMorphParams, "window_size", 512),  # below the default hop_size 1024
     (TransientDetectParams, "hop_s", math.nan),
     (TransientDetectParams, "frame_s", 0.0),
     (TransientDetectParams, "rel_threshold", 0.0),

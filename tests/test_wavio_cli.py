@@ -70,6 +70,18 @@ def test_read_missing_and_garbage(tmp_path):
         read_wav(bad)
 
 
+def test_nonfinite_float_wav_is_io_error(tmp_path, capsys):
+    data = np.zeros(1000, dtype=np.float32)
+    data[500] = np.nan
+    path = tmp_path / "nan.wav"
+    wavfile.write(path, SR, data)
+    with pytest.raises(AudioIOError, match="nan.wav"):
+        read_wav(path)
+    capsys.readouterr()
+    assert main([str(path), str(tmp_path / "out.wav"), "--alpha", "2"]) == 1
+    assert "I/O error:" in capsys.readouterr().err
+
+
 def test_write_rejects_bad_depth(tmp_path):
     with pytest.raises(AudioIOError):
         write_wav(make_buf(10), tmp_path / "x.wav", "8")
@@ -193,11 +205,15 @@ def test_cli_exit_codes(tmp_path, capsys):
         "stn.freq_median_span_hz = nan",
         "transient.hop_s = nan",
         "seed = -1",
+        "stn.short_window = 64",  # below stn.short_hop
     ]:
         cfg.write_text(line + "\n")
         capsys.readouterr()
         assert main([str(inp), str(out), "--alpha", "2", "--config", str(cfg)]) == 2, line
-        assert "configuration error:" in capsys.readouterr().err, line
+        err = capsys.readouterr().err
+        assert "configuration error:" in err, line
+        # the message names the field it rejects
+        assert line.split("=")[0].strip().split(".")[-1] in err, err
 
 
 def test_cli_validates_scaled_config(tmp_path):
