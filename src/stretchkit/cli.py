@@ -33,6 +33,7 @@ import sys
 import time
 from pathlib import Path
 
+from .core import output_length
 from .errors import AudioIOError, ConfigurationError
 from .pipeline import MODES, StretchConfig, stretch_components, time_stretch
 from .stn import stn_decompose
@@ -146,6 +147,7 @@ def run(args) -> int:
         raise ConfigurationError("--alpha is required (or set alpha in --config)")
     x = read_wav(args.input)
     config = apply_config_values(scale_for_rate(StretchConfig(), x.sample_rate), values)
+    output_length(len(x), config.alpha)  # an unbounded output exits 2 before any stage runs
 
     started = time.perf_counter()
     if config.mode in ("nm", "ni"):

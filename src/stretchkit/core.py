@@ -1,10 +1,11 @@
 """STFT/ISTFT engine, window handling, and axis-wise median filtering.
 
 All analysis uses one-sided spectra of real signals (K = window/2 + 1 bins)
-and 64-bit floats internally. The ISTFT performs weighted overlap-add with
-per-sample window-squared normalization, which reconstructs the input
-exactly wherever at least one nonzero window value covers a sample. The
-truncated-edge median is computed in one pass, edges and interior alike.
+and 64-bit floats internally. One overlap-add, `overlap_add`, sums
+frames for the ISTFT, its window-squared normalization and the vocoder's.
+The ISTFT's per-sample normalization reconstructs the input exactly wherever
+at least one nonzero window value covers a sample. The truncated-edge median
+is computed in one pass, edges and interior alike.
 """
 
 from __future__ import annotations
@@ -20,6 +21,10 @@ TIME_AXIS = "time"
 FREQ_AXIS = "frequency"
 
 _MEDIAN_BLOCK = 1 << 20  # values per sorted median chunk (8 MB)
+# peak |sample| accepted from a caller; every stage stays finite far above it
+MAX_AMPLITUDE = 1e100
+# longest output, just above what a 32-bit RIFF size field allows as float32
+MAX_OUTPUT_SAMPLES = 2**30
 
 
 @dataclass
@@ -111,10 +116,27 @@ def check_seed(seed: int) -> None:
         raise ConfigurationError(f"seed must be a non-negative integer, got {seed!r}")
 
 
+def check_amplitude(x: AudioBuffer) -> None:
+    """Reject an input whose peak magnitude exceeds MAX_AMPLITUDE."""
+    peak = float(np.max(np.abs(x.samples))) if len(x) else 0.0
+    if peak > MAX_AMPLITUDE:
+        raise ConfigurationError(
+            f"input peak amplitude {peak:g} exceeds the limit {MAX_AMPLITUDE:g}"
+        )
+
+
 def output_length(input_length: int, alpha: float) -> int:
     """Length of a signal of input_length samples stretched by alpha:
-    round(alpha * input_length), the length every stretch method returns."""
-    return int(round(alpha * input_length))
+    round(alpha * input_length), the length every stretch method returns.
+    Raises ConfigurationError when alpha * input_length exceeds
+    MAX_OUTPUT_SAMPLES, before anything of that size is allocated."""
+    scaled = alpha * input_length
+    if not scaled <= MAX_OUTPUT_SAMPLES:
+        raise ConfigurationError(
+            f"output of {scaled:g} samples (alpha {alpha:g} x {input_length}) "
+            f"exceeds the limit of {MAX_OUTPUT_SAMPLES} samples"
+        )
+    return int(round(scaled))
 
 
 def n_frames_for(length: int, params: StftParams) -> int:
@@ -145,43 +167,38 @@ def stft(signal: AudioBuffer, params: StftParams) -> Spectrogram:
     return Spectrogram(values, w, h, signal.sample_rate)
 
 
-def _window_overlap_sum(window: np.ndarray, n_frames: int, hop: int, length: int) -> np.ndarray:
-    wsq = window**2
-    acc = np.zeros(length)
-    w = len(window)
-    for m in range(n_frames):
-        acc[m * hop : m * hop + w] += wsq
-    return acc
+def overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+    """Sum M frames of width W laid hop apart into (M-1)*hop + W samples
+    (none for M = 0).
+
+    Works on hop-wide column blocks, last block first, so every sample adds
+    its frames in frame order: bit-identical to a frame-by-frame loop.
+    """
+    m, w = frames.shape
+    if m == 0:
+        return np.zeros(0)
+    out = np.zeros(m * hop + w)
+    for start in range((w - 1) // hop * hop, -1, -hop):
+        width = min(hop, w - start)
+        out[start : start + m * hop].reshape(m, hop)[:, :width] += frames[:, start : start + width]
+    return out[: (m - 1) * hop + w]
 
 
-def istft(spec: Spectrogram, target_length="auto") -> AudioBuffer:
+def istft(spec: Spectrogram) -> AudioBuffer:
     """Weighted overlap-add inverse STFT with window-sum normalization.
 
-    The spectrogram's window size and hop are the framing. With
-    target_length="auto" the output spans (M-1)*hop + window samples;
-    otherwise it is trimmed or zero-padded to that length. Round-trips
+    The spectrogram's window size and hop are the framing, and the output
+    spans the (M-1)*hop + window samples its frames cover. Round-trips
     istft(stft(x)) exactly wherever the accumulated squared window is nonzero.
     """
     w, h = spec.window_size, spec.hop_size
-    m = spec.n_frames
-    full_len = (m - 1) * h + w if m else 0
-    out = np.zeros(full_len)
     win = StftParams(w, h).window()
     frames = np.fft.irfft(spec.values, n=w, axis=1) * win
-    for i in range(m):
-        out[i * h : i * h + w] += frames[i]
-    wsum = _window_overlap_sum(win, m, h, full_len)
+    out = overlap_add(frames, h)
+    wsum = overlap_add(np.broadcast_to(win**2, frames.shape), h)
     covered = wsum > 0.0
     out[covered] /= wsum[covered]
     out[~covered] = 0.0
-    if target_length == "auto":
-        target_length = full_len
-    if target_length < 0:
-        raise ConfigurationError("target_length must be non-negative")
-    if target_length <= full_len:
-        out = out[:target_length]
-    else:
-        out = np.pad(out, (0, target_length - full_len))
     return AudioBuffer(out, spec.sample_rate)
 
 

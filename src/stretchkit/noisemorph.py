@@ -165,5 +165,5 @@ def stretch_noise(
     target = _pad_target_frames(target, exc_spec.n_frames, lead_frames)
 
     morphed = (morph if variant == VARIANT_MULTIPLY else morph_replace)(target, exc_spec)
-    out = istft(morphed, pad + out_length)
-    return AudioBuffer(out.samples[pad : pad + out_length], noise.sample_rate)
+    out = istft(morphed).samples[pad : pad + out_length]
+    return AudioBuffer(out, noise.sample_rate)

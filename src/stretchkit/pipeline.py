@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import AudioBuffer, check_alpha, check_seed, output_length
+from .core import AudioBuffer, check_alpha, check_amplitude, check_seed, output_length
 from .errors import ConfigurationError
 from .noisemorph import (
     VARIANT_MULTIPLY,
@@ -79,9 +79,13 @@ def time_stretch(x: AudioBuffer, config: StretchConfig) -> AudioBuffer:
     """Stretch a mono signal by config.alpha with the configured mode.
 
     The output length is round(alpha * len(x)) exactly, and the result is a
-    deterministic function of (x, config)."""
+    deterministic function of (x, config). An input louder than
+    MAX_AMPLITUDE, or an output longer than MAX_OUTPUT_SAMPLES, raises
+    ConfigurationError before any stage runs."""
     if len(x) == 0:
         raise ConfigurationError("cannot stretch an empty signal")
+    check_amplitude(x)
+    output_length(len(x), config.alpha)
     if config.mode in ("nm", "ni"):
         out, _ = stretch_components(stn_decompose(x, config.stn), config)
         return out

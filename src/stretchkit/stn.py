@@ -4,8 +4,9 @@ Stage 1 separates tonal content from the rest with a long analysis window;
 stage 2 splits the residual into transients and noise with a short window.
 Both stages median-filter the magnitude spectrogram along time and frequency,
 convert the filtered ratios into soft masks through a saturating function,
-and apply the masks to the complex spectrogram. Masked components sum back
-to the input by construction.
+and apply the masks to the complex spectrogram. Each stage inverts only the
+part it keeps and takes the rest as input minus kept, so the components sum
+back to the input by construction.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .core import (
     AudioBuffer,
     Spectrogram,
     StftParams,
+    check_amplitude,
     istft,
     median_filter_axis,
     stft,
@@ -151,12 +153,12 @@ def compute_masks(r_s: Spectrogram, r_t: Spectrogram, thresholds: StnThresholds)
 
 def _stage_split(x: AudioBuffer, params: StftParams, thresholds, config: StnConfig,
                  keep: str):
-    """One decomposition stage: mask the spectrogram and invert both parts.
+    """One decomposition stage: mask the spectrogram, invert the kept part,
+    and return rest = x - kept.
 
     The signal is zero-padded by a full window on each side so that every
-    input sample has complete overlap coverage, which makes kept + rest sum
-    back to x at machine precision. `keep` selects which mask ('sines' or
-    'transients') extracts the kept component; the rest is 1 - mask.
+    input sample has complete overlap coverage. `keep` selects which mask
+    ('sines' or 'transients') extracts the kept component.
     """
     pad = params.window_size
     xp = AudioBuffer(np.pad(x.samples, (pad, pad)), x.sample_rate)
@@ -166,12 +168,10 @@ def _stage_split(x: AudioBuffer, params: StftParams, thresholds, config: StnConf
     r_s, r_t = tonalness_transientness(mag, t_len, f_len)
     masks = compute_masks(r_s, r_t, thresholds)
     mask = getattr(masks, keep)
-    kept = istft(spec.copy_with(spec.values * mask), len(xp))
-    rest = istft(spec.copy_with(spec.values * (1.0 - mask)), len(xp))
-    sl = slice(pad, pad + len(x))
+    kept = istft(spec.copy_with(spec.values * mask)).samples[pad : pad + len(x)]
     return (
-        AudioBuffer(kept.samples[sl], x.sample_rate),
-        AudioBuffer(rest.samples[sl], x.sample_rate),
+        AudioBuffer(kept, x.sample_rate),
+        AudioBuffer(x.samples - kept, x.sample_rate),
         masks,
     )
 
@@ -192,6 +192,7 @@ def stn_decompose_with_masks(x: AudioBuffer, config: StnConfig | None = None):
         config = StnConfig()
     if len(x) == 0:
         raise ConfigurationError("cannot decompose an empty signal")
+    check_amplitude(x)
     if len(x) < config.long_window:
         warnings.warn(
             "input shorter than the stage-1 analysis window; "

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import AudioBuffer, check_alpha
+from .core import MAX_OUTPUT_SAMPLES, AudioBuffer, check_alpha
 from .errors import ConfigurationError
 
 
@@ -146,8 +146,10 @@ def reposition_events(
     repositioned segments are summed (the edge fades keep that click-free).
     """
     check_alpha(alpha)
-    if out_length < 0:
-        raise ConfigurationError("out_length must be non-negative")
+    if not 0 <= out_length <= MAX_OUTPUT_SAMPLES:
+        raise ConfigurationError(
+            f"out_length must be in [0, {MAX_OUTPUT_SAMPLES}], got {out_length}"
+        )
     out = np.zeros(out_length)
     for ev in events:
         start = int(round(alpha * ev.onset)) - ev.anchor

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AudioBuffer, StftParams, _window_overlap_sum, check_alpha, output_length
+from .core import AudioBuffer, StftParams, check_alpha, n_frames_for, output_length, overlap_add
 from .errors import ConfigurationError
 
 
@@ -79,7 +79,7 @@ def _pv_stretch(x: np.ndarray, alpha: float, window_size: int, synth_hop: int,
     k = params.n_bins
     omega = 2.0 * np.pi * np.arange(k) / window_size  # phase advance per sample
 
-    n_syn = 1 + int(np.ceil(max(0, out_length - window_size) / synth_hop))
+    n_syn = n_frames_for(out_length, params)
     positions = np.rint(np.arange(n_syn) * synth_hop / alpha).astype(int)
     xp = np.zeros(max(positions[-1] + window_size, len(x)))
     xp[: len(x)] = x
@@ -103,9 +103,11 @@ def _pv_stretch(x: np.ndarray, alpha: float, window_size: int, synth_hop: int,
                 psi = psi + synth_hop * inst
         prev_phase = phase
         synth = np.fft.irfft(mag * np.exp(1j * psi), n=window_size) * win
+        # added frame by frame: keeping every frame for overlap_add would hold
+        # n_syn * window_size floats (56 MB for 10 s at alpha 4)
         out[m * synth_hop : m * synth_hop + window_size] += synth
 
-    wsum = _window_overlap_sum(win, n_syn, synth_hop, len(out))
+    wsum = overlap_add(np.broadcast_to(win**2, (n_syn, window_size)), synth_hop)
     # clamp to the full-overlap level so partially covered edge samples fade
     # out instead of being amplified by a tiny window sum
     out /= np.maximum(wsum, np.median(wsum))

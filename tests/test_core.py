@@ -9,11 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stretchkit.core import (
+    MAX_OUTPUT_SAMPLES,
     AudioBuffer,
     Spectrogram,
     StftParams,
     istft,
     median_filter_axis,
+    output_length,
+    overlap_add,
     stft,
     window_energy,
 )
@@ -69,9 +72,9 @@ def test_stft_invalid_params_rejected():
 def test_roundtrip_white_noise_interior():
     x = white(SR)
     p = StftParams(2048, 1024)
-    y = istft(stft(x, p), len(x))
+    y = istft(stft(x, p)).samples[: len(x)]
     i = slice(2048, len(x) - 2048)
-    err = np.max(np.abs(y.samples[i] - x.samples[i])) / np.max(np.abs(x.samples))
+    err = np.max(np.abs(y[i] - x.samples[i])) / np.max(np.abs(x.samples))
     assert err < 1e-6
 
 
@@ -94,12 +97,45 @@ def test_istft_single_frame_is_normalized_windowed_frame():
     assert np.array_equal(y[w == 0], [0.0])
 
 
-def test_istft_target_length_trims_and_pads():
-    x = white(10000)
-    p = StftParams(1024, 256)
-    spec = stft(x, p)
-    assert len(istft(spec, 4000)) == 4000
-    assert len(istft(spec, 20000)) == 20000
+@pytest.mark.parametrize("n,window,hop", [(10000, 1024, 256), (1, 64, 32), (4097, 4096, 1024)])
+def test_istft_length_is_full_frame_span(n, window, hop):
+    spec = stft(white(n), StftParams(window, hop))
+    assert len(istft(spec)) == (spec.n_frames - 1) * hop + window
+
+
+def test_istft_of_no_frames_is_empty():
+    assert len(istft(Spectrogram(np.zeros((0, 33), dtype=complex), 64, 16, SR))) == 0
+
+
+def frame_loop_overlap_add(frames, hop):
+    m, w = frames.shape
+    out = np.zeros((m - 1) * hop + w if m else 0)
+    for i in range(m):
+        out[i * hop : i * hop + w] += frames[i]
+    return out
+
+
+OLA_SHAPES = [
+    (1, 64, 32), (3450, 558, 140), (220, 8916, 2230), (1725, 2048, 1024),
+    (100, 4458, 1115), (5, 7, 3), (10, 5, 5), (3, 1, 1), (4, 8, 3), (0, 16, 4),
+]
+
+
+@pytest.mark.parametrize("m,w,hop", OLA_SHAPES)
+def test_overlap_add_equals_frame_loop(m, w, hop):
+    rng = np.random.default_rng(m * 31 + w)
+    frames = rng.standard_normal((m, w))
+    assert np.array_equal(overlap_add(frames, hop), frame_loop_overlap_add(frames, hop))
+    wsq = StftParams(w, hop).window() ** 2
+    tiled = np.broadcast_to(wsq, (m, w))
+    assert np.array_equal(overlap_add(tiled, hop), frame_loop_overlap_add(tiled, hop))
+
+
+def test_output_length_bound():
+    assert output_length(MAX_OUTPUT_SAMPLES, 1.0) == MAX_OUTPUT_SAMPLES
+    for n, alpha in ((1, 2.0**31), (100, 1e12), (MAX_OUTPUT_SAMPLES + 1, 1.0), (10, 1e308)):
+        with pytest.raises(ConfigurationError, match="exceeds the limit"):
+            output_length(n, alpha)
 
 
 def test_stft_linearity():
@@ -246,6 +282,6 @@ def test_audio_buffer_rejects_nonfinite():
 def test_roundtrip_property(n, seed):
     x = AudioBuffer(np.random.default_rng(seed).standard_normal(n), SR)
     p = StftParams(512, 128)
-    y = istft(stft(x, p), len(x))
+    y = istft(stft(x, p)).samples[: len(x)]
     i = slice(512, max(513, n - 512))
-    assert np.allclose(y.samples[i], x.samples[i], atol=1e-9)
+    assert np.allclose(y[i], x.samples[i], atol=1e-9)

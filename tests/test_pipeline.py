@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stretchkit.core import AudioBuffer, Spectrogram
+from stretchkit.core import MAX_AMPLITUDE, AudioBuffer, Spectrogram
 from stretchkit.errors import ConfigurationError
 from stretchkit.metrics import dominant_frequency, onset_positions
 from stretchkit.noisemorph import NoiseMorphParams, lerp_frames, stretch_noise
@@ -47,6 +47,27 @@ def test_invalid_config_rejected():
         StretchConfig(alpha=0.0)
     with pytest.raises(ConfigurationError):
         time_stretch(AudioBuffer(np.zeros(0), SR), StretchConfig())
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_amplitude_bound(mode):
+    x = gen_signal("click_plus_hiss", 0.5, seed=2).samples
+    x = x / np.max(np.abs(x))
+    config = StretchConfig(alpha=2.0, mode=mode)
+    y = time_stretch(AudioBuffer(MAX_AMPLITUDE * x, SR), config)
+    assert len(y) == output_length(len(x), 2.0)
+    assert np.all(np.isfinite(y.samples))
+    for peak in (1e101, 1e200, 1e304):
+        with pytest.raises(ConfigurationError, match="peak amplitude"):
+            time_stretch(AudioBuffer(peak * x, SR), config)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_output_length_bound_before_allocating(mode):
+    with pytest.raises(ConfigurationError, match="exceeds the limit"):
+        time_stretch(AudioBuffer(0.1 * np.ones(100), SR), StretchConfig(alpha=1e12, mode=mode))
+    with pytest.raises(ConfigurationError, match="out_length"):
+        reposition_events([], 2.0, 2**40)
 
 
 def test_mode_is_case_insensitive():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from stretchkit.core import AudioBuffer, Spectrogram
+from stretchkit import stn
+from stretchkit.core import MAX_AMPLITUDE, AudioBuffer, Spectrogram
 from stretchkit.errors import ConfigurationError
 from stretchkit.signals import gen_signal
 from stretchkit.stn import (
@@ -120,7 +121,21 @@ def test_perfect_reconstruction(kind):
     comps = stn_decompose(x)
     recon = comps.sines.samples + comps.transients.samples + comps.noise.samples
     assert len(recon) == len(x)
-    assert np.max(np.abs(recon - x.samples)) <= 1e-4 * np.max(np.abs(x.samples))
+    assert np.max(np.abs(recon - x.samples)) <= 1e-12 * np.max(np.abs(x.samples))
+
+
+def test_each_stage_inverts_only_its_kept_part(monkeypatch):
+    calls = []
+    real_istft = stn.istft
+
+    def counting_istft(*args, **kwargs):
+        calls.append(args[0].window_size)
+        return real_istft(*args, **kwargs)
+
+    monkeypatch.setattr(stn, "istft", counting_istft)
+    stn_decompose(gen_signal("click_plus_hiss", 0.5))
+    config = StnConfig()
+    assert calls == [config.long_window, config.short_window]
 
 
 def test_mask_partition_and_range():
@@ -161,3 +176,12 @@ def test_short_input_warns_not_errors():
 def test_empty_input_rejected():
     with pytest.raises(ConfigurationError):
         stn_decompose(AudioBuffer(np.zeros(0), SR))
+
+
+def test_amplitude_above_bound_rejected():
+    x = gen_signal("click_plus_hiss", 0.5).samples
+    x = x / np.max(np.abs(x))
+    comps, _ = stn_decompose_with_masks(AudioBuffer(MAX_AMPLITUDE * x, SR))
+    assert np.all(np.isfinite(comps.noise.samples))
+    with pytest.raises(ConfigurationError, match="peak amplitude"):
+        stn_decompose_with_masks(AudioBuffer(1e101 * x, SR))

@@ -216,6 +216,15 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert line.split("=")[0].strip().split(".")[-1] in err, err
 
 
+@pytest.mark.parametrize("mode", ["nm", "an"])
+def test_cli_unbounded_output_exits_2(tmp_path, capsys, mode):
+    inp = write_input(tmp_path)
+    code = main([str(inp), str(tmp_path / "out.wav"), "--alpha", "1e12", "--mode", mode])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "exceeds the limit" in err
+
+
 def test_cli_validates_scaled_config(tmp_path):
     out = tmp_path / "out.wav"
     cfg = tmp_path / "c.cfg"
