@@ -51,14 +51,25 @@ class NoiseMorphParams:
 
 
 def log_magnitude(spec: Spectrogram, floor_db: float = -120.0) -> Spectrogram:
-    """10*log10 of the bin magnitudes, floored to keep every entry finite."""
-    floor = 10.0 ** (floor_db / 10.0)
-    return spec.copy_with(10.0 * np.log10(np.maximum(np.abs(spec.values), floor)))
+    """10*log10 of the bin magnitudes, floored at floor_db so every entry is
+    finite and at least floor_db.
+
+    The floor is absolute, not relative to the signal's level: every bin with
+    magnitude below 10^(floor_db/10) reads floor_db. So noise morphing is not
+    scale-equivariant for very quiet inputs. Noise at peak 1e-300 (or 1e-100)
+    comes out of stretch_noise at the floor's level, about 1.7e-13 peak with
+    the default -120.
+    """
+    with np.errstate(divide="ignore"):
+        db = 10.0 * np.log10(np.abs(spec.values))
+    return spec.copy_with(np.maximum(db, floor_db))
 
 
 def lerp_frames(logmag: Spectrogram, alpha: float) -> Spectrogram:
     """Time-interpolate a spectrogram to round(alpha*M) frames, and to at
     least one frame when M > 0, so a non-empty output always has a target.
+    The count comes from output_length, which raises ConfigurationError
+    when alpha*M exceeds MAX_OUTPUT_SAMPLES, before anything is allocated.
 
     Output frame m reads from continuous input position m/alpha (clamped to
     the valid range), blending the two neighboring frames per bin. alpha = 1
@@ -68,7 +79,7 @@ def lerp_frames(logmag: Spectrogram, alpha: float) -> Spectrogram:
     m = logmag.n_frames
     if m == 0:
         return logmag.copy_with(np.zeros((0, logmag.values.shape[1])))
-    m_out = max(1, int(round(alpha * m)))
+    m_out = max(1, output_length(m, alpha))
     pos = np.clip(np.arange(m_out) / alpha, 0.0, m - 1)
     lo = np.floor(pos).astype(int)
     hi = np.minimum(lo + 1, m - 1)

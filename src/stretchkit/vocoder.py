@@ -34,35 +34,44 @@ class PvParams:
             )
 
 
-def find_peaks(mag_frame: np.ndarray):
+def find_peaks(mag_frame: np.ndarray) -> np.ndarray:
     """Spectral peaks and their regions of influence for one frame.
 
     A candidate bin (index 2 .. K-3) is a peak when strictly greater than
     every candidate within two bins of it. Regions partition [0, K) with
     boundaries at the magnitude minimum between adjacent peaks (first such
-    minimum on ties). Returns a list of (peak_bin, region_start, region_end);
-    an empty list means no locking should be applied.
+    minimum on ties). Returns an integer array of shape (P, 3), one row
+    (peak_bin, region_start, region_end) per peak in ascending bin order;
+    P = 0 means no locking should be applied. Raises ConfigurationError for
+    fewer than 5 bins or a NaN between two peaks.
     """
     mag = np.asarray(mag_frame, dtype=np.float64)
     k = mag.size
     if k < 5:
         raise ConfigurationError(f"need at least 5 bins to find peaks, got {k}")
-    cand = np.arange(2, k - 2)
+    cand = mag[2 : k - 2]
     ok = np.ones(cand.size, dtype=bool)
-    for off in (-2, -1, 1, 2):
-        j = cand + off
-        valid = (j >= 2) & (j <= k - 3)
-        ok &= ~valid | (mag[cand] > mag[np.clip(j, 0, k - 1)])
-    peaks = cand[ok]
+    for off in (1, 2):
+        ok[off:] &= cand[off:] > cand[:-off]
+        ok[:-off] &= cand[:-off] > cand[off:]
+    peaks = np.flatnonzero(ok) + 2
     if peaks.size == 0:
-        return []
-    bounds = [0]
-    for a, b in zip(peaks[:-1], peaks[1:]):
-        bounds.append(int(a + np.argmin(mag[a : b + 1])))
-    bounds.append(k)
-    return [
-        (int(p), int(bounds[i]), int(bounds[i + 1])) for i, p in enumerate(peaks)
-    ]
+        return np.empty((0, 3), dtype=peaks.dtype)
+    # Peak p[i+1] is strictly greater than bin p[i+1] - 1, which lies in the
+    # span, so the minimum of [p[i], p[i+1]] is never at p[i+1]: the
+    # half-open reduceat spans [p[i], p[i+1]) give the same bounds.
+    lo = peaks[0]
+    span = mag[lo : peaks[-1]]
+    starts = peaks[:-1] - lo
+    mins = np.minimum.reduceat(span, starts)
+    if np.isnan(mins).any():
+        raise ConfigurationError("NaN magnitude between spectral peaks")
+    at_min = span == np.repeat(mins, np.diff(peaks))
+    # first bin at the span's minimum: the lowest bin wins ties
+    first = np.where(at_min, np.arange(span.size), span.size)
+    cuts = lo + np.minimum.reduceat(first, starts)
+    bounds = np.concatenate(([0], cuts, [k]))
+    return np.column_stack((peaks, bounds[:-1], bounds[1:]))
 
 
 def _princarg(phi):
@@ -116,12 +125,11 @@ def _pv_stretch(x: np.ndarray, alpha: float, window_size: int, synth_hop: int,
 
 def _locked_phases(mag, phase, psi_prev, inst, synth_hop):
     regions = find_peaks(mag)
-    if not regions:
+    if len(regions) == 0:
         return psi_prev + synth_hop * inst
-    peaks = np.array([r[0] for r in regions])
-    lengths = np.array([r[2] - r[1] for r in regions])
+    peaks, starts, ends = regions.T
     rotation = psi_prev[peaks] + synth_hop * inst[peaks] - phase[peaks]
-    return phase + np.repeat(rotation, lengths)
+    return phase + np.repeat(rotation, ends - starts)
 
 
 def stretch_sines(sines: AudioBuffer, alpha: float, params: PvParams | None = None) -> AudioBuffer:

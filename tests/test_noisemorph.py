@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stretchkit.core import AudioBuffer, Spectrogram, StftParams, stft, window_energy
 from stretchkit.errors import ConfigurationError
@@ -32,6 +34,21 @@ def test_log_magnitude_values():
     assert np.all(np.isfinite(out.values))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    mags=st.lists(st.floats(min_value=0.0, max_value=1e100), min_size=1, max_size=40),
+    phase=st.floats(min_value=-np.pi, max_value=np.pi),
+    floor_db=st.floats(min_value=-1e4, max_value=0.0),
+)
+@example(mags=[0.0, 1e-300, 1e100], phase=0.0, floor_db=-120.0)
+@example(mags=[0.0], phase=0.0, floor_db=-4000.0)
+def test_log_magnitude_floor_property(mags, phase, floor_db):
+    values = np.array(mags)[None, :] * np.exp(1j * phase)
+    out = log_magnitude(spec(values, complex_=True), floor_db=floor_db).values
+    assert np.all(np.isfinite(out))
+    assert np.all(out >= floor_db)
+
+
 def test_lerp_identity_at_alpha_one():
     s = spec(np.random.default_rng(0).random((7, 5)))
     out = lerp_frames(s, 1.0)
@@ -55,6 +72,11 @@ def test_lerp_constant_any_alpha():
 def test_lerp_empty():
     s = spec(np.zeros((0, 4)))
     assert lerp_frames(s, 2.0).n_frames == 0
+
+
+def test_lerp_frame_count_bounded_before_allocating():
+    with pytest.raises(ConfigurationError):
+        lerp_frames(Spectrogram(np.zeros((2, 3)), 4, 2, 44100), 1e12)
 
 
 def test_excitation_deterministic():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stretchkit.errors import ConfigurationError
 from stretchkit.metrics import dominant_frequency
@@ -7,6 +9,32 @@ from stretchkit.signals import gen_signal, sine, two_tone
 from stretchkit.vocoder import PvParams, find_peaks, stretch_plain, stretch_sines
 
 SR = 44100
+
+
+def find_peaks_loop(mag):
+    """Reference: the per-pair loop find_peaks replaced (strict comparisons
+    with candidates two bins either side, bound = first argmin between
+    adjacent peaks)."""
+    mag = np.asarray(mag, dtype=np.float64)
+    k = mag.size
+    cand = np.arange(2, k - 2)
+    ok = np.ones(cand.size, dtype=bool)
+    for off in (-2, -1, 1, 2):
+        j = cand + off
+        valid = (j >= 2) & (j <= k - 3)
+        ok &= ~valid | (mag[cand] > mag[np.clip(j, 0, k - 1)])
+    peaks = cand[ok]
+    if peaks.size == 0:
+        return []
+    bounds = [0]
+    for a, b in zip(peaks[:-1], peaks[1:]):
+        bounds.append(int(a + np.argmin(mag[a : b + 1])))
+    bounds.append(k)
+    return [(int(p), bounds[i], bounds[i + 1]) for i, p in enumerate(peaks)]
+
+
+def as_tuples(regions):
+    return [tuple(int(v) for v in row) for row in regions]
 
 
 def test_find_peaks_monotone_increasing():
@@ -22,7 +50,7 @@ def test_find_peaks_isolated_spike():
     frame = np.zeros(64)
     frame[20] = 5.0
     regions = find_peaks(frame)
-    assert regions == [(20, 0, 64)]
+    assert as_tuples(regions) == [(20, 0, 64)]
 
 
 def test_find_peaks_two_equal_spikes():
@@ -30,21 +58,55 @@ def test_find_peaks_two_equal_spikes():
     frame[10] = 3.0
     frame[30] = 3.0
     regions = find_peaks(frame)
-    assert [r[0] for r in regions] == [10, 30]
+    assert list(regions[:, 0]) == [10, 30]
     # boundary at the first minimum between them (tie broken to lower bin)
-    assert regions[0][2] == 11
-    assert regions[1] == (30, 11, 64)
+    assert regions[0, 2] == 11
+    assert as_tuples(regions[1:]) == [(30, 11, 64)]
     # regions partition the spectrum
-    assert regions[0][1] == 0 and regions[-1][2] == 64
+    assert regions[0, 1] == 0 and regions[-1, 2] == 64
 
 
 def test_find_peaks_flat_frame_has_none():
-    assert find_peaks(np.ones(32)) == []
+    assert find_peaks(np.ones(32)).shape == (0, 3)
 
 
 def test_find_peaks_needs_five_bins():
     with pytest.raises(ConfigurationError):
         find_peaks(np.ones(4))
+
+
+def test_find_peaks_rejects_nan_between_peaks():
+    frame = np.zeros(64)
+    frame[10] = frame[30] = 3.0
+    frame[20] = np.nan
+    with pytest.raises(ConfigurationError):
+        find_peaks(frame)
+
+
+magnitudes = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+frames = st.one_of(
+    st.lists(magnitudes, min_size=5, max_size=300),
+    # integer-valued: many equal neighbours and tied minima
+    st.lists(st.integers(0, 3).map(float), min_size=5, max_size=300),
+    # constant frames
+    st.builds(lambda k, v: [v] * k, st.integers(5, 300), magnitudes),
+    # plateaus: runs of equal values
+    st.lists(st.tuples(st.integers(0, 4), st.integers(1, 8)), min_size=1, max_size=60)
+    .map(lambda runs: [float(v) for v, n in runs for _ in range(n)])
+    .filter(lambda f: 5 <= len(f) <= 300),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(frame=frames)
+@example(frame=[1.0] * 5)
+@example(frame=[0.0, 0.0, 1.0, 0.0, 0.0])
+def test_find_peaks_matches_loop_reference(frame):
+    regions = find_peaks(np.array(frame))
+    expected = find_peaks_loop(frame)
+    assert regions.shape == (len(expected), 3)
+    assert np.issubdtype(regions.dtype, np.integer)
+    assert as_tuples(regions) == expected
 
 
 def test_no_stretch_is_identity_interior():
