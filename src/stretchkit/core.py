@@ -5,12 +5,17 @@ and 64-bit floats internally. One overlap-add, `overlap_add`, sums
 frames for the ISTFT, its window-squared normalization and the vocoder's.
 The ISTFT's per-sample normalization reconstructs the input exactly wherever
 at least one nonzero window value covers a sample. The truncated-edge median
-is computed in one pass, edges and interior alike.
+sorts each window on its own in bounded blocks, on up to one thread per CPU
+in the process's affinity; its output is bit-identical for any thread count,
+and no setting changes the count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +25,7 @@ from .errors import ConfigurationError
 TIME_AXIS = "time"
 FREQ_AXIS = "frequency"
 
-_MEDIAN_BLOCK = 1 << 20  # values per sorted median chunk (8 MB)
+_MEDIAN_BLOCK = 1 << 16  # values per sorted median block (512 KB)
 # peak |sample| accepted from a caller; every stage stays finite far above it
 MAX_AMPLITUDE = 1e100
 # longest output, just above what a 32-bit RIFF size field allows as float32
@@ -208,6 +213,11 @@ def median_filter_axis(mag: Spectrogram, axis: str, length: int) -> Spectrogram:
     Each position takes the median over its neighbors within length // 2
     that exist, so edges use truncated windows and no padding values are
     invented. length must be odd and positive; values must be finite.
+
+    The windows are sorted in blocks of at most _MEDIAN_BLOCK values; blocks
+    of full windows are shared among one thread per CPU the process may use.
+    Each window is sorted on its own, so the output is bit-identical for any
+    thread count.
     """
     if length < 1 or length % 2 == 0:
         raise ConfigurationError(f"median length must be odd and positive, got {length}")
@@ -220,22 +230,102 @@ def median_filter_axis(mag: Spectrogram, axis: str, length: int) -> Spectrogram:
     if not np.all(np.isfinite(values)):
         raise ConfigurationError("median filter input must be finite")
     half = length // 2
-    # NaN pads sort last: the first `count` sorted values are the real ones
-    padded = np.pad(np.moveaxis(values, ax, 0), ((half, half), (0, 0)), constant_values=np.nan)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, length, axis=0)
-    n, cols = windows.shape[:2]
-    count = length - np.isnan(windows[:, 0]).sum(axis=1)
-    lo, hi = (count - 1) // 2, count // 2
-    out = np.empty_like(values)
-    rows = max(1, _MEDIAN_BLOCK // (cols * length))
-    for r in (slice(start, start + rows) for start in range(0, n, rows)):
-        block = windows[r].copy()
-        block.sort(axis=2)
-        a, b = (np.take_along_axis(block, k[r, None, None], axis=2)[..., 0] for k in (lo, hi))
+    result = np.empty_like(values)
+    out = np.moveaxis(result, ax, 1)  # lines x positions, a view of result
+    lines, n = out.shape
+    # each line contiguous; NaN pads sort last, so the first `count` sorted
+    # values of a truncated window are its real ones
+    padded = np.full((lines, n + 2 * half), np.nan)
+    padded[:, half : half + n] = np.moveaxis(values, ax, 1)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, length, axis=1)
+    full = _median_blocks(lines, half, n - half, length)
+    edges = _median_blocks(lines, 0, min(half, n), length)
+    edges += _median_blocks(lines, max(half, n - half), n, length)
+    # sort buffers come from this thread, so pool threads allocate nothing
+    buf_size = min(max(1, _MEDIAN_BLOCK // length), lines * n) * length
+    workers = min(len(full), _cpu_count())
+    if workers > 1:
+        pool = _median_pool()
+        tasks = [
+            pool.submit(_full_medians, windows, out, full[i::workers], np.empty(buf_size))
+            for i in range(workers)
+        ]
+    else:
+        tasks = []
+        _full_medians(windows, out, full, np.empty(buf_size))
+    buf = np.empty(buf_size)
+    for r, p in edges:
+        block = _sorted_block(windows[r, p], buf)
+        pos = np.arange(p.start, p.stop)
+        count = np.minimum(pos + half, n - 1) - np.maximum(pos - half, 0) + 1
+        lo, hi = (count - 1) // 2, count // 2
+        a, b = (np.take_along_axis(block, k[None, :, None], axis=2)[..., 0] for k in (lo, hi))
         # an odd count keeps its middle value, like np.median, even if a + a overflows
         with np.errstate(over="ignore"):
-            np.moveaxis(out, ax, 0)[r] = np.where((lo == hi)[r, None], a, (a + b) / 2)
-    return mag.copy_with(out)
+            out[r, p] = np.where(lo == hi, a, (a + b) / 2)
+    for task in tasks:
+        task.result()
+    return mag.copy_with(result)
+
+
+def _median_blocks(lines: int, start: int, stop: int, length: int) -> list:
+    """(line slice, position slice) pairs tiling lines x [start, stop), each
+    with at most _MEDIAN_BLOCK window values (one window if it is longer)."""
+    if stop <= start:
+        return []
+    per_block = max(1, _MEDIAN_BLOCK // length)
+    step = min(stop - start, per_block)
+    rows = max(1, per_block // step)
+    return [
+        (slice(r, r + rows), slice(p, min(p + step, stop)))
+        for r in range(0, lines, rows)
+        for p in range(start, stop, step)
+    ]
+
+
+def _sorted_block(windows: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """Copy windows into the front of buf and sort each window in place."""
+    block = buf[: windows.size].reshape(windows.shape)
+    np.copyto(block, windows)
+    block.sort(axis=2)
+    return block
+
+
+def _full_medians(windows: np.ndarray, out: np.ndarray, blocks: list, buf: np.ndarray) -> None:
+    """Write the median of every full window in blocks into out."""
+    half = windows.shape[2] // 2
+    for r, p in blocks:
+        out[r, p] = _sorted_block(windows[r, p], buf)[..., half]
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _median_pool() -> ThreadPoolExecutor:
+    """The module's thread pool, one thread per CPU, built on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_cpu_count(), thread_name_prefix="stretchkit-median")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # a forked child has none of the parent's pool threads: build a new pool
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def window_energy(params: StftParams) -> float:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    MAX_AMPLITUDE,
     AudioBuffer,
     Spectrogram,
     StftParams,
@@ -33,6 +34,9 @@ from .errors import ConfigurationError
 
 VARIANT_MULTIPLY = "multiply"
 VARIANT_REPLACE = "replace"
+# highest floor: the level of a bin at MAX_AMPLITUDE; far above it the morph's
+# 10 ** (dB / 10) overflows to inf
+MAX_FLOOR_DB = 10.0 * math.log10(MAX_AMPLITUDE)
 
 
 @dataclass(frozen=True)
@@ -42,8 +46,10 @@ class NoiseMorphParams:
     floor_db: float = -120.0
 
     def __post_init__(self):
-        if not math.isfinite(self.floor_db):
-            raise ConfigurationError(f"floor_db must be finite, got {self.floor_db}")
+        if not (math.isfinite(self.floor_db) and self.floor_db <= MAX_FLOOR_DB):
+            raise ConfigurationError(
+                f"floor_db must be finite and at most {MAX_FLOOR_DB:g}, got {self.floor_db}"
+            )
         self.stft_params()
 
     def stft_params(self) -> StftParams:

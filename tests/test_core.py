@@ -1,6 +1,9 @@
+import hashlib
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stretchkit import core
 from stretchkit.core import (
     MAX_OUTPUT_SAMPLES,
     AudioBuffer,
@@ -237,6 +241,98 @@ def test_median_filter_matches_truncated_np_median(shape, axis, kind):
         with np.errstate(over="ignore"):
             expected = truncated_median(values, ax, length)
         assert np.array_equal(got, expected), length
+
+
+@pytest.mark.parametrize("shape", [(300, 7), (7, 300), (40, 33)])
+@pytest.mark.parametrize("axis", ["time", "frequency"])
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_median_filter_small_blocks_match_truncated_np_median(monkeypatch, shape, axis, cpus):
+    # 64-value blocks: many blocks per line, edge-only blocks, windows longer
+    # than a block, and the full blocks split among several workers
+    monkeypatch.setattr(core, "_MEDIAN_BLOCK", 64)
+    monkeypatch.setattr(core, "_cpu_count", lambda: cpus)
+    rng = np.random.default_rng(sum(shape))
+    values = rng.integers(0, 5, shape) + rng.random(shape).round(1)
+    ax = 0 if axis == "time" else 1
+    n = shape[ax]
+    lengths = [1, 3, 5, 7, 9, 63, 65, n - 2, n, n + 2, 2 * n + 1, 2 * n + 5]
+    for length in sorted({k | 1 for k in lengths if k > 0}):
+        got = median_filter_axis(mag_spec(values), axis, length).values
+        assert np.array_equal(got, truncated_median(values, ax, length)), length
+
+
+def median_grid():
+    """A grid of many default-sized blocks, its length-69 time median and its
+    sha256 digest."""
+    values = np.random.default_rng(7).random((695, 257))
+    out = median_filter_axis(mag_spec(values), "time", 69).values
+    return values, out, hashlib.sha256(out.tobytes()).hexdigest()
+
+
+def test_median_filter_one_cpu_subprocess_same_bytes():
+    values, out, digest = median_grid()
+    assert np.array_equal(out, truncated_median(values, 0, 69))
+    src = str(Path(core.__file__).resolve().parent.parent)
+    code = (
+        "import os, sys; sys.path.insert(0, sys.argv[1]); "
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+        "import test_core; print(len(os.sched_getaffinity(0)), test_core.median_grid()[2])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(Path(__file__).parent)], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120,
+    )
+    assert result.stdout.split() == ["1", digest]
+
+
+def _median_digest_into(queue):
+    queue.put(median_grid()[2])
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+def test_median_filter_in_forked_child_after_pool_use(monkeypatch):
+    monkeypatch.setattr(core, "_cpu_count", lambda: 2)
+    values, out, digest = median_grid()  # the parent's pool now exists
+    assert core._pool is not None
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_median_digest_into, args=(queue,))
+    child.start()
+    try:
+        got = queue.get(timeout=60)
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+    assert got == digest
+    assert not child.is_alive() and child.exitcode == 0
+    assert np.array_equal(out, truncated_median(values, 0, 69))
+
+
+def test_median_filter_concurrent_callers_same_bytes(monkeypatch):
+    monkeypatch.setattr(core, "_MEDIAN_BLOCK", 256)
+    monkeypatch.setattr(core, "_cpu_count", lambda: 2)
+    values = np.random.default_rng(3).random((120, 90))
+    expected = {a: truncated_median(values, ax, 15) for ax, a in enumerate(("time", "frequency"))}
+    results = []
+
+    def call():
+        for axis in ("time", "frequency") * 3:
+            results.append((axis, median_filter_axis(mag_spec(values), axis, 15).values))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=call) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 4 * 6
+    assert all(np.array_equal(got, expected[axis]) for axis, got in results)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -7,6 +7,7 @@ from stretchkit.core import AudioBuffer, Spectrogram, StftParams, stft, window_e
 from stretchkit.errors import ConfigurationError
 from stretchkit.metrics import oracle_magnitude_spectrogram
 from stretchkit.noisemorph import (
+    MAX_FLOOR_DB,
     NoiseMorphParams,
     generate_excitation,
     lerp_frames,
@@ -144,6 +145,14 @@ def test_stretch_noise_length_contract():
         out = stretch_noise(n, alpha, seed=0)
         assert len(out) == round(alpha * len(n))
         assert out.sample_rate == SR
+
+
+def test_stretch_noise_highest_floor_stays_finite():
+    assert MAX_FLOOR_DB == 1000.0
+    n = shaped_noise(-3.0, 0.5, seed=2)
+    out = stretch_noise(n, 2.0, NoiseMorphParams(floor_db=MAX_FLOOR_DB), seed=0)
+    assert len(out) == 2 * len(n)
+    assert np.all(np.isfinite(out.samples))
 
 
 def test_stretch_noise_silence_stays_quiet():

@@ -99,6 +99,8 @@ SECTION_CHECKS = [
     (StnConfig, "freq_median_span_hz", 0.0),
     (StnConfig, "short_window", 64),  # below the default short_hop 128
     (NoiseMorphParams, "floor_db", -math.inf),
+    (NoiseMorphParams, "floor_db", 1000.5),  # above 10 * log10(MAX_AMPLITUDE)
+    (NoiseMorphParams, "floor_db", 4000.0),  # 10 ** (4000 / 10) is inf
     (NoiseMorphParams, "window_size", 512),  # below the default hop_size 1024
     (TransientDetectParams, "hop_s", math.nan),
     (TransientDetectParams, "frame_s", 0.0),

@@ -206,6 +206,7 @@ def test_cli_exit_codes(tmp_path, capsys):
         "transient.hop_s = nan",
         "seed = -1",
         "stn.short_window = 64",  # below stn.short_hop
+        "noise.floor_db = 4000",  # the morph's 10 ** (dB / 10) overflows
     ]:
         cfg.write_text(line + "\n")
         capsys.readouterr()
