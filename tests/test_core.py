@@ -269,6 +269,7 @@ def median_grid():
     return values, out, hashlib.sha256(out.tobytes()).hexdigest()
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
 def test_median_filter_one_cpu_subprocess_same_bytes():
     values, out, digest = median_grid()
     assert np.array_equal(out, truncated_median(values, 0, 69))
