@@ -2,7 +2,8 @@
 
 All analysis uses one-sided spectra of real signals (K = window/2 + 1 bins)
 and 64-bit floats internally. One overlap-add, `overlap_add`, sums
-frames for the ISTFT, its window-squared normalization and the vocoder's.
+frames for the ISTFT, its window-squared normalization and the vocoder's,
+which adds block after block into one output buffer.
 The ISTFT's per-sample normalization reconstructs the input exactly wherever
 at least one nonzero window value covers a sample. The truncated-edge median
 sorts each window on its own in bounded blocks, on up to one thread per CPU
@@ -172,21 +173,26 @@ def stft(signal: AudioBuffer, params: StftParams) -> Spectrogram:
     return Spectrogram(values, w, h, signal.sample_rate)
 
 
-def overlap_add(frames: np.ndarray, hop: int) -> np.ndarray:
+def overlap_add(frames: np.ndarray, hop: int, out: np.ndarray | None = None) -> np.ndarray:
     """Sum M frames of width W laid hop apart into (M-1)*hop + W samples
-    (none for M = 0).
+    (none for M = 0), added into `out` (a contiguous array of that length)
+    if given, else into zeros; returns the sums.
 
     Works on hop-wide column blocks, last block first, so every sample adds
     its frames in frame order: bit-identical to a frame-by-frame loop.
     """
     m, w = frames.shape
+    if out is None:
+        out = np.zeros((m - 1) * hop + w if m else 0)
     if m == 0:
-        return np.zeros(0)
-    out = np.zeros(m * hop + w)
+        return out
+    last = (m - 1) * hop
     for start in range((w - 1) // hop * hop, -1, -hop):
         width = min(hop, w - start)
-        out[start : start + m * hop].reshape(m, hop)[:, :width] += frames[:, start : start + width]
-    return out[: (m - 1) * hop + w]
+        cols = frames[:, start : start + width]
+        out[start : start + last].reshape(m - 1, hop)[:, :width] += cols[:-1]
+        out[start + last : start + last + width] += cols[-1]
+    return out
 
 
 def istft(spec: Spectrogram) -> AudioBuffer:

@@ -133,6 +133,7 @@ def tonalness_transientness(mag: Spectrogram, time_median_len: int, freq_median_
     denom = m_time + m_freq
     with np.errstate(invalid="ignore", divide="ignore"):
         r_s = np.where(denom > 0.0, m_time / np.where(denom > 0.0, denom, 1.0), 0.5)
+    del m_time, m_freq, denom
     r_t = 1.0 - r_s
     return mag.copy_with(r_s), mag.copy_with(r_t)
 
@@ -152,23 +153,27 @@ def compute_masks(r_s: Spectrogram, r_t: Spectrogram, thresholds: StnThresholds)
 
 
 def _stage_split(x: AudioBuffer, params: StftParams, thresholds, config: StnConfig,
-                 keep: str):
+                 keep: str, with_masks: bool):
     """One decomposition stage: mask the spectrogram, invert the kept part,
-    and return rest = x - kept.
+    and return (kept, rest = x - kept, masks).
 
     The signal is zero-padded by a full window on each side so that every
     input sample has complete overlap coverage. `keep` selects which mask
-    ('sines' or 'transients') extracts the kept component.
+    ('sines' or 'transients') extracts the kept component; the full MaskSet
+    is built only when with_masks is set (else masks is None). The scores
+    and the mask are dropped before the inverse transform.
     """
     pad = params.window_size
     xp = AudioBuffer(np.pad(x.samples, (pad, pad)), x.sample_rate)
     spec = stft(xp, params)
-    mag = spec.copy_with(np.abs(spec.values))
     t_len, f_len = median_lengths(params, x.sample_rate, config)
-    r_s, r_t = tonalness_transientness(mag, t_len, f_len)
-    masks = compute_masks(r_s, r_t, thresholds)
-    mask = getattr(masks, keep)
-    kept = istft(spec.copy_with(spec.values * mask)).samples[pad : pad + len(x)]
+    r_s, r_t = tonalness_transientness(spec.copy_with(np.abs(spec.values)), t_len, f_len)
+    mask = saturating_mask((r_s if keep == "sines" else r_t).values, thresholds)
+    masks = compute_masks(r_s, r_t, thresholds) if with_masks else None
+    del r_s, r_t
+    spec.values *= mask
+    del mask
+    kept = istft(spec).samples[pad : pad + len(x)]
     return (
         AudioBuffer(kept, x.sample_rate),
         AudioBuffer(x.samples - kept, x.sample_rate),
@@ -177,7 +182,8 @@ def _stage_split(x: AudioBuffer, params: StftParams, thresholds, config: StnConf
 
 
 def stn_decompose(x: AudioBuffer, config: StnConfig | None = None) -> StnComponents:
-    components, _ = stn_decompose_with_masks(x, config)
+    """Both decomposition stages, building only the masks they apply."""
+    components, _ = _decompose(x, config, with_masks=False)
     return components
 
 
@@ -188,6 +194,10 @@ def stn_decompose_with_masks(x: AudioBuffer, config: StnConfig | None = None):
     on; stage 2 keeps the transients via the transientness mask, leaving the
     noise as the residual. All outputs have the input's length exactly.
     """
+    return _decompose(x, config, with_masks=True)
+
+
+def _decompose(x: AudioBuffer, config: StnConfig | None, with_masks: bool):
     if config is None:
         config = StnConfig()
     if len(x) == 0:
@@ -197,15 +207,15 @@ def stn_decompose_with_masks(x: AudioBuffer, config: StnConfig | None = None):
         warnings.warn(
             "input shorter than the stage-1 analysis window; "
             "processing a single zero-padded frame",
-            stacklevel=2,
+            stacklevel=3,
         )
 
     p1 = StftParams(config.long_window, config.long_hop)
-    sines, residual, masks1 = _stage_split(x, p1, config.stage1, config, keep="sines")
+    sines, residual, masks1 = _stage_split(x, p1, config.stage1, config, "sines", with_masks)
 
     p2 = StftParams(config.short_window, config.short_hop)
     transients, noise, masks2 = _stage_split(
-        residual, p2, config.stage2, config, keep="transients"
+        residual, p2, config.stage2, config, "transients", with_masks
     )
 
     return StnComponents(sines, transients, noise), (masks1, masks2)

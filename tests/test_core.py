@@ -135,6 +135,21 @@ def test_overlap_add_equals_frame_loop(m, w, hop):
     assert np.array_equal(overlap_add(tiled, hop), frame_loop_overlap_add(tiled, hop))
 
 
+@pytest.mark.parametrize("m,w,hop", OLA_SHAPES)
+def test_overlap_add_into_buffer_equals_frame_loop(m, w, hop):
+    """Frames added into a non-zero buffer land after its values, in frame
+    order, as when the vocoder adds block after block."""
+    rng = np.random.default_rng(m * 17 + hop)
+    frames = rng.standard_normal((m, w))
+    base = rng.standard_normal((m - 1) * hop + w if m else 0)
+    expected = base.copy()
+    for i in range(m):
+        expected[i * hop : i * hop + w] += frames[i]
+    out = base.copy()
+    assert overlap_add(frames, hop, out=out) is out
+    assert np.array_equal(out, expected)
+
+
 def test_output_length_bound():
     assert output_length(MAX_OUTPUT_SAMPLES, 1.0) == MAX_OUTPUT_SAMPLES
     for n, alpha in ((1, 2.0**31), (100, 1e12), (MAX_OUTPUT_SAMPLES + 1, 1.0), (10, 1e308)):

@@ -138,6 +138,18 @@ def test_each_stage_inverts_only_its_kept_part(monkeypatch):
     assert calls == [config.long_window, config.short_window]
 
 
+@pytest.mark.parametrize("kind", ["click_plus_hiss", "two_tone"])
+def test_decompose_with_and_without_masks_identical(kind):
+    """stn_decompose builds only the kept masks; its components are the very
+    bits of the path that builds every mask."""
+    x = gen_signal(kind, 1.0)
+    lean = stn_decompose(x)
+    full, (m1, m2) = stn_decompose_with_masks(x)
+    for name in ("sines", "transients", "noise"):
+        assert np.array_equal(getattr(lean, name).samples, getattr(full, name).samples)
+    assert m1.sines.shape[1] == 8192 // 2 + 1 and m2.sines.shape[1] == 512 // 2 + 1
+
+
 def test_mask_partition_and_range():
     _, (m1, m2) = stn_decompose_with_masks(gen_signal("click_plus_hiss", 1.0))
     for ms in (m1, m2):

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stretchkit import vocoder
+from stretchkit.core import AudioBuffer, StftParams, n_frames_for, output_length, overlap_add
 from stretchkit.errors import ConfigurationError
 from stretchkit.metrics import dominant_frequency
 from stretchkit.signals import gen_signal, sine, two_tone
@@ -177,3 +179,100 @@ def test_invalid_params():
         stretch_sines(sine(440.0, 0.1, SR), 0.0)
     with pytest.raises(ConfigurationError):
         stretch_plain(sine(440.0, 0.1, SR), -2.0)
+
+
+def pv_stretch_loop(x, alpha, window_size, synth_hop, locked):
+    """Reference: the frame-by-frame vocoder the blocked one replaced (one
+    rfft, angle and full-bin exp per frame, locking as phase + rotation)."""
+    out_length = output_length(len(x), alpha)
+    params = StftParams(window_size, synth_hop)
+    win = params.window()
+    omega = 2.0 * np.pi * np.arange(params.n_bins) / window_size
+    n_syn = n_frames_for(out_length, params)
+    positions = np.rint(np.arange(n_syn) * synth_hop / alpha).astype(int)
+    xp = np.zeros(max(positions[-1] + window_size, len(x)))
+    xp[: len(x)] = x
+    out = np.zeros((n_syn - 1) * synth_hop + window_size)
+    for m in range(n_syn):
+        frame = np.fft.rfft(win * xp[positions[m] : positions[m] + window_size])
+        mag = np.abs(frame)
+        phase = np.angle(frame)
+        if m == 0:
+            psi = phase.copy()
+        else:
+            dt = max(int(positions[m] - positions[m - 1]), 1)
+            dphi = vocoder._princarg(phase - prev_phase - omega * dt)
+            inst = omega + dphi / dt
+            regions = find_peaks(mag) if locked else ()
+            if len(regions) == 0:
+                psi = psi + synth_hop * inst
+            else:
+                peaks, starts, ends = regions.T
+                rotation = psi[peaks] + synth_hop * inst[peaks] - phase[peaks]
+                psi = phase + np.repeat(rotation, ends - starts)
+        prev_phase = phase
+        out[m * synth_hop : m * synth_hop + window_size] += (
+            np.fft.irfft(mag * np.exp(1j * psi), n=window_size) * win
+        )
+    wsum = overlap_add(np.broadcast_to(win**2, (n_syn, window_size)), synth_hop)
+    out /= np.maximum(wsum, np.median(wsum))
+    return out[:out_length]
+
+
+def assert_near_reference(y, x, alpha, params):
+    """Locked output within 1e-9 of the reference's peak: the rotation is
+    applied to the analysis spectrum, not as exp(1j * (phase + rotation))."""
+    ref = pv_stretch_loop(x, alpha, params.window_size, params.synthesis_hop, True)
+    assert y.shape == ref.shape
+    assert np.max(np.abs(y - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+SMALL_PV = PvParams(window_size=512, synthesis_hop=128)
+SMALL_BLOCK = 4  # frames per block while _FRAME_BLOCK is patched to 4 windows
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.5, 2.0, 4.0])
+@pytest.mark.parametrize("frames", [1, SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1,
+                                    2 * SMALL_BLOCK + 1])
+def test_blocked_vocoder_matches_frame_loop(monkeypatch, frames, alpha):
+    w, hop = SMALL_PV.window_size, SMALL_PV.synthesis_hop
+    monkeypatch.setattr(vocoder, "_FRAME_BLOCK", SMALL_BLOCK * w)
+    n = round((w + (frames - 1) * hop) / alpha)
+    assert n_frames_for(output_length(n, alpha), StftParams(w, hop)) == frames
+    x = AudioBuffer(np.random.default_rng(frames).standard_normal(n), SR)
+    y = stretch_plain(x, alpha, SMALL_PV).samples
+    assert np.array_equal(y, pv_stretch_loop(x.samples, alpha, w, hop, False))
+    assert_near_reference(stretch_sines(x, alpha, SMALL_PV).samples, x.samples, alpha, SMALL_PV)
+
+
+@pytest.mark.parametrize("kind", ["click_plus_hiss", "two_tone"])
+def test_default_blocks_match_frame_loop(kind):
+    # 1 s at alpha 2: 83 frames, over two full blocks of 32 at the defaults
+    x = gen_signal(kind, 1.0)
+    params = PvParams()
+    w, hop = params.window_size, params.synthesis_hop
+    y = stretch_plain(x, 2.0).samples
+    assert np.array_equal(y, pv_stretch_loop(x.samples, 2.0, w, hop, False))
+    assert_near_reference(stretch_sines(x, 2.0).samples, x.samples, 2.0, params)
+
+
+def test_frames_without_peaks_fall_back_and_recover(monkeypatch):
+    """Bursts between stretches of digital silence: silent frames have no
+    peaks and propagate every bin, then locking resumes on the next burst."""
+    burst = 0.1 * np.random.default_rng(3).standard_normal(round(0.25 * SR))
+    burst += sine(440.0, 0.25, SR).samples
+    silence = np.zeros(round(0.3 * SR))
+    x = np.concatenate((burst, silence, burst, silence, burst))
+    peak_counts = []
+
+    def counting(mag):
+        regions = find_peaks(mag)
+        peak_counts.append(len(regions))
+        return regions
+
+    monkeypatch.setattr(vocoder, "find_peaks", counting)
+    y = stretch_sines(AudioBuffer(x, SR), 2.0).samples
+    has_peaks = np.array(peak_counts) > 0
+    switches = np.flatnonzero(np.diff(has_peaks.astype(int)))
+    assert has_peaks[0] and has_peaks[-1] and len(switches) >= 4
+    assert_near_reference(y, x, 2.0, PvParams())
