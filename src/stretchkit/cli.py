@@ -153,6 +153,7 @@ def run(args) -> int:
     if config.mode in ("nm", "ni"):
         components = stn_decompose(x, config.stn)
         out, branches = stretch_components(components, config)
+        elapsed = time.perf_counter() - started  # the stretch only, as in nd/an
         if args.stems:
             args.stems.mkdir(parents=True, exist_ok=True)
             for name, buf in [
@@ -171,7 +172,7 @@ def run(args) -> int:
         if args.stems or args.onsets:
             log.warning("--stems/--onsets are only meaningful for nm/ni modes; ignored")
         out = time_stretch(x, config)
-    elapsed = time.perf_counter() - started
+        elapsed = time.perf_counter() - started
 
     write_wav(out, args.output, args.bit_depth)
     print(

@@ -6,16 +6,16 @@ frames for the ISTFT, its window-squared normalization and the vocoder's,
 which adds block after block into one output buffer.
 The ISTFT's per-sample normalization reconstructs the input exactly wherever
 at least one nonzero window value covers a sample. The truncated-edge median
-sorts each window on its own in bounded blocks, on up to one thread per CPU
-in the process's affinity; its output is bit-identical for any thread count,
-and no setting changes the count.
+sorts each full window on its own in bounded blocks, on worker threads (up to
+one per CPU in the process's affinity) started per call and joined before it
+returns, while the calling thread sorts the edges one position at a time. Its
+output is bit-identical for any thread count, and no setting changes the count.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -220,10 +220,11 @@ def median_filter_axis(mag: Spectrogram, axis: str, length: int) -> Spectrogram:
     that exist, so edges use truncated windows and no padding values are
     invented. length must be odd and positive; values must be finite.
 
-    The windows are sorted in blocks of at most _MEDIAN_BLOCK values; blocks
-    of full windows are shared among one thread per CPU the process may use.
-    Each window is sorted on its own, so the output is bit-identical for any
-    thread count.
+    Full windows are sorted in blocks of at most _MEDIAN_BLOCK values, shared
+    among worker threads (one per CPU the process may use) that are started
+    for this call and joined before it returns. Meanwhile the calling thread
+    sorts the truncated windows, one edge position at a time. Each window is
+    sorted on its own, so the output is bit-identical for any thread count.
     """
     if length < 1 or length % 2 == 0:
         raise ConfigurationError(f"median length must be odd and positive, got {length}")
@@ -239,69 +240,56 @@ def median_filter_axis(mag: Spectrogram, axis: str, length: int) -> Spectrogram:
     result = np.empty_like(values)
     out = np.moveaxis(result, ax, 1)  # lines x positions, a view of result
     lines, n = out.shape
-    # each line contiguous; NaN pads sort last, so the first `count` sorted
-    # values of a truncated window are its real ones
-    padded = np.full((lines, n + 2 * half), np.nan)
-    padded[:, half : half + n] = np.moveaxis(values, ax, 1)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, length, axis=1)
-    full = _median_blocks(lines, half, n - half, length)
-    edges = _median_blocks(lines, 0, min(half, n), length)
-    edges += _median_blocks(lines, max(half, n - half), n, length)
+    data = np.ascontiguousarray(np.moveaxis(values, ax, 1))  # each line contiguous
+    full = _median_blocks(lines, n - 2 * half, length)
+    workers = min(len(full), _cpu_count())
     # sort buffers come from this thread, so pool threads allocate nothing
     buf_size = min(max(1, _MEDIAN_BLOCK // length), lines * n) * length
-    workers = min(len(full), _cpu_count())
-    if workers > 1:
-        pool = _median_pool()
+    with ThreadPoolExecutor(max(1, workers), thread_name_prefix="stretchkit-median") as pool:
         tasks = [
-            pool.submit(_full_medians, windows, out, full[i::workers], np.empty(buf_size))
+            pool.submit(_full_medians, data, length, out[:, half : n - half], full[i::workers],
+                        np.empty(buf_size))
             for i in range(workers)
         ]
-    else:
-        tasks = []
-        _full_medians(windows, out, full, np.empty(buf_size))
-    buf = np.empty(buf_size)
-    for r, p in edges:
-        block = _sorted_block(windows[r, p], buf)
-        pos = np.arange(p.start, p.stop)
-        count = np.minimum(pos + half, n - 1) - np.maximum(pos - half, 0) + 1
-        lo, hi = (count - 1) // 2, count // 2
-        a, b = (np.take_along_axis(block, k[None, :, None], axis=2)[..., 0] for k in (lo, hi))
-        # an odd count keeps its middle value, like np.median, even if a + a overflows
-        with np.errstate(over="ignore"):
-            out[r, p] = np.where(lo == hi, a, (a + b) / 2)
-    for task in tasks:
-        task.result()
+        for i in [*range(min(half, n)), *range(max(half, n - half), n)]:
+            window = np.sort(data[:, max(0, i - half) : i + half + 1], axis=1)
+            mid = window.shape[1] // 2
+            if window.shape[1] % 2:
+                out[:, i] = window[:, mid]
+            else:
+                with np.errstate(over="ignore"):
+                    out[:, i] = (window[:, mid - 1] + window[:, mid]) / 2
+        for task in tasks:
+            task.result()
     return mag.copy_with(result)
 
 
-def _median_blocks(lines: int, start: int, stop: int, length: int) -> list:
-    """(line slice, position slice) pairs tiling lines x [start, stop), each
+def _median_blocks(lines: int, positions: int, length: int) -> list:
+    """(line slice, position slice) pairs tiling lines x [0, positions), each
     with at most _MEDIAN_BLOCK window values (one window if it is longer)."""
-    if stop <= start:
+    if positions <= 0:
         return []
     per_block = max(1, _MEDIAN_BLOCK // length)
-    step = min(stop - start, per_block)
+    step = min(positions, per_block)
     rows = max(1, per_block // step)
     return [
-        (slice(r, r + rows), slice(p, min(p + step, stop)))
+        (slice(r, r + rows), slice(p, min(p + step, positions)))
         for r in range(0, lines, rows)
-        for p in range(start, stop, step)
+        for p in range(0, positions, step)
     ]
 
 
-def _sorted_block(windows: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """Copy windows into the front of buf and sort each window in place."""
-    block = buf[: windows.size].reshape(windows.shape)
-    np.copyto(block, windows)
-    block.sort(axis=2)
-    return block
-
-
-def _full_medians(windows: np.ndarray, out: np.ndarray, blocks: list, buf: np.ndarray) -> None:
-    """Write the median of every full window in blocks into out."""
-    half = windows.shape[2] // 2
+def _full_medians(data: np.ndarray, length: int, out: np.ndarray, blocks: list,
+                  buf: np.ndarray) -> None:
+    """Write the median of each full window of data's lines in blocks into
+    out, sorting every block in the front of buf."""
+    windows = np.lib.stride_tricks.sliding_window_view(data, length, axis=1)
     for r, p in blocks:
-        out[r, p] = _sorted_block(windows[r, p], buf)[..., half]
+        window = windows[r, p]
+        block = buf[: window.size].reshape(window.shape)
+        np.copyto(block, window)
+        block.sort(axis=2)
+        out[r, p] = block[..., length // 2]
 
 
 def _cpu_count() -> int:
@@ -309,29 +297,6 @@ def _cpu_count() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _median_pool() -> ThreadPoolExecutor:
-    """The module's thread pool, one thread per CPU, built on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_cpu_count(), thread_name_prefix="stretchkit-median")
-        return _pool
-
-
-def _forget_pool() -> None:
-    # a forked child has none of the parent's pool threads: build a new pool
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def window_energy(params: StftParams) -> float:

@@ -12,7 +12,6 @@ import struct
 import wave
 
 import numpy as np
-from scipy.io import wavfile
 
 from .core import AudioBuffer
 from .errors import AudioIOError
@@ -24,6 +23,8 @@ BIT_DEPTHS = ("16", "24", "float32")
 
 def read_wav(path) -> AudioBuffer:
     """Load a WAV file as a normalized mono buffer at its native rate."""
+    from scipy.io import wavfile  # imported on use: `import stretchkit` loads no scipy
+
     try:
         sample_rate, data = wavfile.read(path)
     except FileNotFoundError:
@@ -62,6 +63,8 @@ def write_wav(buffer: AudioBuffer, path, bit_depth: str = "float32") -> None:
     if clipped:
         log.warning("%s: clipped %d samples to +-1.0", path, clipped)
         x = np.clip(x, -1.0, 1.0)
+    from scipy.io import wavfile
+
     try:
         if bit_depth == "float32":
             wavfile.write(path, buffer.sample_rate, x.astype(np.float32))

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import time
 import wave
 
 import numpy as np
@@ -177,6 +178,23 @@ def test_cli_basic_run(tmp_path, capsys):
     assert "alpha=2" in line[0] and "mode=nd" in line[0]
     y = read_wav(out)
     assert len(y) == 2 * len(read_wav(inp))
+
+
+def test_cli_result_time_excludes_stem_writes(tmp_path, capsys, monkeypatch):
+    real_write = cli.write_wav
+
+    def slow_stem_write(buf, path, bit_depth):
+        if path.parent.name == "stems":
+            time.sleep(0.1)  # six stems: 0.6 s
+        real_write(buf, path, bit_depth)
+
+    monkeypatch.setattr(cli, "write_wav", slow_stem_write)
+    inp = write_input(tmp_path, duration=0.3)
+    stems = tmp_path / "stems"
+    assert main([str(inp), str(tmp_path / "out.wav"), "--alpha", "2", "--stems", str(stems)]) == 0
+    assert len(list(stems.glob("*.wav"))) == 6
+    line = [l for l in capsys.readouterr().out.splitlines() if l.startswith("RESULT:")]
+    assert float(line[0].split("time=")[1].rstrip("s")) < 0.5
 
 
 def test_cli_reruns_byte_identical(tmp_path):
