@@ -15,12 +15,14 @@ Keys are the StretchConfig fields, nested ones dotted, e.g.:
     stn.long_window = 8192
     transient.fade_s = 0.005
 
-Command-line flags override config-file values. Window and hop defaults are
-rescaled for inputs not at 44.1 kHz; the file values and flags are applied
-after that scaling, so they are taken literally, and the final config is
-validated once. An unknown key exits 2, including a key that names a section
-(stn.stage1) and noise.seed and pv.alpha (seed and alpha are top-level keys
-only), and so does a value that fails validation.
+Command-line flags override config-file values. Both are applied to
+StretchConfig().for_rate(input rate), whose window and hop defaults are
+rescaled for inputs not at 44.1 kHz, so they are taken literally, and the
+final config is validated once. An unknown key exits 2, including a key that
+names a section (stn.stage1) and noise.seed and pv.alpha (seed and alpha are
+top-level keys only), and so does a value that fails validation. run() then
+makes one pipeline.stretch call and writes the output, the nm/ni stems and
+onsets, and the RESULT: line.
 """
 
 from __future__ import annotations
@@ -33,22 +35,16 @@ import sys
 import time
 from pathlib import Path
 
-from .core import output_length
 from .errors import AudioIOError, ConfigurationError
-from .pipeline import MODES, StretchConfig, stretch_components, time_stretch
+from .pipeline import MODES, StretchConfig, stretch
+# Only the benchmark tracer (perfbench/spans.py) needs the next four names here: it patches
+# them in this module. ROADMAP item 3 deletes them with that patching.
+from .pipeline import stretch_components, time_stretch
 from .stn import stn_decompose
-# run() takes its events from stretch_components; detect_events stays
-# importable here because the benchmark tracer (perfbench/spans.py) patches it
 from .transients import detect_events, onsets_csv_rows
 from .wavio import BIT_DEPTHS, read_wav, write_wav
 
 log = logging.getLogger("stretchkit")
-
-RATE_SCALED_FIELDS = {
-    "stn": ("long_window", "long_hop", "short_window", "short_hop"),
-    "noise": ("window_size", "hop_size"),
-    "pv": ("window_size", "synthesis_hop"),
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,16 +92,13 @@ def _coerce(current, text, key: str):
         raise ConfigurationError(f"config key {key}: cannot parse {text!r} as {kind.__name__}")
 
 
-def apply_config_values(config: StretchConfig, values: dict) -> StretchConfig:
-    """A copy of config with the dotted keys in values set.
+def apply_config_values(section, values: dict, *, prefix: str = ""):
+    """A copy of section (a StretchConfig, or a section of one) with the
+    dotted keys in values set; prefix is section's own dotted path.
 
     Each touched section is rebuilt once with dataclasses.replace, so its
     checks run on all of its final values, whatever the order of the keys.
     """
-    return _replace_keys(config, values, "")
-
-
-def _replace_keys(section, values: dict, prefix: str):
     names = {f.name for f in dataclasses.fields(section)}
     changes, nested = {}, {}
     for key, text in values.items():
@@ -116,27 +109,9 @@ def _replace_keys(section, values: dict, prefix: str):
             nested.setdefault(head, {})[rest] = text
         else:
             changes[head] = _coerce(getattr(section, head), text, prefix + key)
-    for head, sub_values in nested.items():
-        changes[head] = _replace_keys(getattr(section, head), sub_values, f"{prefix}{head}.")
+    for head, sub in nested.items():
+        changes[head] = apply_config_values(getattr(section, head), sub, prefix=f"{prefix}{head}.")
     return dataclasses.replace(section, **changes)
-
-
-def scale_for_rate(config: StretchConfig, sample_rate: int) -> StretchConfig:
-    """Rescale the sample-denominated settings when the input is not 44.1 kHz.
-
-    Time-denominated settings (median spans, fades) are already in seconds.
-    The scaled sections are rebuilt, so their checks run on the new values.
-    """
-    if sample_rate == 44100:
-        return config
-    ratio = sample_rate / 44100.0
-    scaled = {}
-    for section, names in RATE_SCALED_FIELDS.items():
-        target = getattr(config, section)
-        scaled[section] = dataclasses.replace(target, **{
-            name: max(2, int(round(getattr(target, name) * ratio / 2)) * 2) for name in names
-        })
-    return dataclasses.replace(config, **scaled)
 
 
 def run(args) -> int:
@@ -146,33 +121,23 @@ def run(args) -> int:
     if "alpha" not in values:
         raise ConfigurationError("--alpha is required (or set alpha in --config)")
     x = read_wav(args.input)
-    config = apply_config_values(scale_for_rate(StretchConfig(), x.sample_rate), values)
-    output_length(len(x), config.alpha)  # an unbounded output exits 2 before any stage runs
+    config = apply_config_values(StretchConfig().for_rate(x.sample_rate), values)
 
     started = time.perf_counter()
-    if config.mode in ("nm", "ni"):
-        components = stn_decompose(x, config.stn)
-        out, branches = stretch_components(components, config)
-        elapsed = time.perf_counter() - started  # the stretch only, as in nd/an
-        if args.stems:
-            args.stems.mkdir(parents=True, exist_ok=True)
-            for name, buf in [
-                ("sines", components.sines), ("transients", components.transients),
-                ("noise", components.noise), ("sines_stretched", branches.sines),
-                ("transients_stretched", branches.transients),
-                ("noise_stretched", branches.noise),
-            ]:
-                write_wav(buf, args.stems / f"{name}.wav", args.bit_depth)
-        if args.onsets:
-            with open(args.onsets, "w", newline="") as f:
-                writer = csv.writer(f)
-                writer.writerow(["input_sample", "output_sample"])
-                writer.writerows(onsets_csv_rows(branches.events, config.alpha))
-    else:
-        if args.stems or args.onsets:
-            log.warning("--stems/--onsets are only meaningful for nm/ni modes; ignored")
-        out = time_stretch(x, config)
-        elapsed = time.perf_counter() - started
+    out, branches = stretch(x, config)
+    elapsed = time.perf_counter() - started  # the stretch only, not the writes
+    if branches is None and (args.stems or args.onsets):
+        log.warning("--stems/--onsets are only meaningful for nm/ni modes; ignored")
+    if branches is not None and args.stems:
+        args.stems.mkdir(parents=True, exist_ok=True)
+        for name in ("sines", "transients", "noise"):
+            for stem, source in ((name, branches.components), (f"{name}_stretched", branches)):
+                write_wav(getattr(source, name), args.stems / f"{stem}.wav", args.bit_depth)
+    if branches is not None and args.onsets:
+        with open(args.onsets, "w", newline="") as f:
+            writer = csv.writer(f)
+            writer.writerow(["input_sample", "output_sample"])
+            writer.writerows(onsets_csv_rows(branches.events, config.alpha))
 
     write_wav(out, args.output, args.bit_depth)
     print(

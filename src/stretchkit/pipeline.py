@@ -11,6 +11,7 @@ Modes:
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 from .core import AudioBuffer, check_alpha, check_amplitude, check_seed, output_length
@@ -26,6 +27,13 @@ from .transients import TransientDetectParams, TransientEvent, detect_events, re
 from .vocoder import PvParams, stretch_plain, stretch_sines
 
 MODES = ("nm", "ni", "nd", "an")
+
+# the sample-denominated settings that for_rate rescales, per section
+RATE_SCALED_FIELDS = {
+    "stn": ("long_window", "long_hop", "short_window", "short_hop"),
+    "noise": ("window_size", "hop_size"),
+    "pv": ("window_size", "synthesis_hop"),
+}
 
 
 @dataclass(frozen=True)
@@ -45,12 +53,30 @@ class StretchConfig:
         check_alpha(self.alpha)
         check_seed(self.seed)
 
+    def for_rate(self, sample_rate: int) -> StretchConfig:
+        """A copy with the sample-denominated sizes rescaled from 44.1 kHz to
+        sample_rate, each to the nearest even count of at least 2, and each
+        scaled section rebuilt so its checks run; self at 44.1 kHz. Settings in
+        seconds are left alone. stretch never calls this."""
+        if sample_rate == 44100:
+            return self
+        ratio = sample_rate / 44100.0
+        scaled = {}
+        for section, names in RATE_SCALED_FIELDS.items():
+            target = getattr(self, section)
+            scaled[section] = dataclasses.replace(target, **{
+                name: max(2, int(round(getattr(target, name) * ratio / 2)) * 2) for name in names
+            })
+        return dataclasses.replace(self, **scaled)
+
 
 @dataclass
 class BranchOutputs:
-    """Per-branch stretched signals, each output_length() samples long, and
-    the transient events detected on the input's transient component."""
+    """The input's STN components, the per-branch stretched signals, each
+    output_length() samples long, and the transient events detected on the
+    input's transient component."""
 
+    components: StnComponents
     sines: AudioBuffer
     transients: AudioBuffer
     noise: AudioBuffer
@@ -72,23 +98,30 @@ def stretch_components(
     )
     noise = stretch_noise(components.noise, alpha, config.noise, variant, seed=config.seed)
     out = AudioBuffer(sines.samples + transients.samples + noise.samples, rate)
-    return out, BranchOutputs(sines, transients, noise, events)
+    return out, BranchOutputs(components, sines, transients, noise, events)
 
 
-def time_stretch(x: AudioBuffer, config: StretchConfig) -> AudioBuffer:
-    """Stretch a mono signal by config.alpha with the configured mode.
+def stretch(x: AudioBuffer, config: StretchConfig) -> tuple[AudioBuffer, BranchOutputs | None]:
+    """Stretch a mono signal by config.alpha with the configured mode; the
+    branch outputs are returned for nm/ni, None for nd/an.
 
     The output length is round(alpha * len(x)) exactly, and the result is a
-    deterministic function of (x, config). An input louder than
-    MAX_AMPLITUDE, or an output longer than MAX_OUTPUT_SAMPLES, raises
-    ConfigurationError before any stage runs."""
+    deterministic function of (x, config). An input louder than MAX_AMPLITUDE,
+    or an output longer than MAX_OUTPUT_SAMPLES, raises ConfigurationError
+    before any stage runs. Sizes in config are used as given at any rate:
+    stretch never calls config.for_rate."""
     if len(x) == 0:
         raise ConfigurationError("cannot stretch an empty signal")
     check_amplitude(x)
     output_length(len(x), config.alpha)
     if config.mode in ("nm", "ni"):
-        out, _ = stretch_components(stn_decompose(x, config.stn), config)
-        return out
+        return stretch_components(stn_decompose(x, config.stn), config)
     if config.mode == "nd":
-        return stretch_noise(x, config.alpha, config.noise, VARIANT_MULTIPLY, seed=config.seed)
-    return stretch_plain(x, config.alpha, config.pv)
+        out = stretch_noise(x, config.alpha, config.noise, VARIANT_MULTIPLY, seed=config.seed)
+        return out, None
+    return stretch_plain(x, config.alpha, config.pv), None
+
+
+def time_stretch(x: AudioBuffer, config: StretchConfig) -> AudioBuffer:
+    """The output of stretch(x, config), without the branch outputs."""
+    return stretch(x, config)[0]

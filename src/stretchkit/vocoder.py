@@ -149,8 +149,8 @@ def _locked_block(spec, dts, omega, synth_hop, state):
     so phase and advance are computed only at peak bins. state is (previous
     spectrum, its per-bin rotation, its synthesis phase): the phase is given
     in full after a frame without peaks (or the first frame), and is None when
-    it is the spectrum's phase plus the rotation. A frame without peaks
-    propagates every bin on its own.
+    it is the spectrum's phase plus the rotation. A frame without peaks is a
+    one-frame _plain_block: every bin propagates on its own.
     """
     mag = np.abs(spec)
     synth = np.empty_like(spec)
@@ -161,11 +161,11 @@ def _locked_block(spec, dts, omega, synth_hop, state):
     for i in range(int(first), len(spec)):
         regions = find_peaks(mag[i])
         if len(regions) == 0:
-            phase, prev_phase = np.angle(spec[i]), np.angle(prev)
-            if psi is None:
-                psi = prev_phase + rot
-            psi = psi + synth_hop * _inst_freq(phase, prev_phase, omega, dts[i])
-            synth[i] = mag[i] * np.exp(1j * psi)
+            prev_phase = np.angle(prev)
+            plain = (prev_phase, prev_phase + rot if psi is None else psi)
+            synth[i : i + 1], (_, psi) = _plain_block(
+                spec[i : i + 1], dts[i : i + 1], omega, synth_hop, plain
+            )
         else:
             peaks, starts, ends = regions.T
             phase, prev_phase = np.angle(spec[i, peaks]), np.angle(prev[peaks])

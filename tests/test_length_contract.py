@@ -8,7 +8,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stretchkit.cli import scale_for_rate
 from stretchkit.core import MAX_AMPLITUDE, AudioBuffer
 from stretchkit.noisemorph import stretch_noise
 from stretchkit.pipeline import MODES, StretchConfig, output_length, time_stretch
@@ -88,7 +87,7 @@ def test_silence_and_dc(mode, level, n, alpha):
 @given(seconds=st.floats(min_value=1e-4, max_value=0.4), alpha=alphas, seed=seeds)
 def test_sample_rates(mode, rate, seconds, alpha, seed):
     n = max(1, int(seconds * rate))
-    config = scale_for_rate(StretchConfig(alpha=alpha, mode=mode), rate)
+    config = StretchConfig(alpha=alpha, mode=mode).for_rate(rate)
     y = time_stretch(hiss_with_clicks(n, seed, rate), config)
     assert_contract(y, n, alpha)
     assert y.sample_rate == rate

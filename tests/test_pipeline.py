@@ -11,6 +11,7 @@ from stretchkit.pipeline import (
     MODES,
     StretchConfig,
     output_length,
+    stretch,
     stretch_components,
     time_stretch,
 )
@@ -161,12 +162,21 @@ def test_branch_outputs_sum_to_result():
     assert len(branches.noise) == len(out)
 
 
-def test_stretch_components_matches_time_stretch():
+@pytest.mark.parametrize("mode", MODES)
+def test_stretch_components_matches_time_stretch(mode):
     x = gen_signal("click_plus_hiss", 0.8, seed=5)
-    cfg = StretchConfig(alpha=2.0, mode="ni", seed=7)
-    via_pipeline = time_stretch(x, cfg)
-    via_parts, _ = stretch_components(stn_decompose(x, cfg.stn), cfg)
-    assert np.array_equal(via_pipeline.samples, via_parts.samples)
+    cfg = StretchConfig(alpha=2.0, mode=mode, seed=7)
+    out, branches = stretch(x, cfg)
+    assert np.array_equal(out.samples, time_stretch(x, cfg).samples)
+    if mode in ("nd", "an"):
+        assert branches is None
+        return
+    components = stn_decompose(x, cfg.stn)
+    for name in ("sines", "transients", "noise"):
+        assert np.array_equal(getattr(branches.components, name).samples,
+                              getattr(components, name).samples)
+    via_parts, _ = stretch_components(components, cfg)
+    assert np.array_equal(out.samples, via_parts.samples)
 
 
 def test_level_roughly_preserved():

@@ -8,11 +8,12 @@ import pytest
 from scipy.io import wavfile
 
 from stretchkit import cli, pipeline
-from stretchkit.cli import apply_config_values, main, parse_config_file, scale_for_rate
+from stretchkit.cli import apply_config_values, main, parse_config_file
 from stretchkit.core import AudioBuffer
 from stretchkit.errors import AudioIOError, ConfigurationError
-from stretchkit.pipeline import StretchConfig
+from stretchkit.pipeline import StretchConfig, stretch
 from stretchkit.signals import gen_signal
+from stretchkit.transients import onsets_csv_rows
 from stretchkit.wavio import read_wav, write_wav
 
 SR = 44100
@@ -124,16 +125,15 @@ def test_threshold_override_is_per_config():
 
 
 def test_scale_for_rate():
-    config = scale_for_rate(StretchConfig(), 22050)
+    config = StretchConfig().for_rate(22050)
     assert config.noise.window_size == 1024
     assert config.stn.long_window == 4096
     # values applied after scaling keep their value
-    kept = apply_config_values(scale_for_rate(StretchConfig(), 22050),
-                               {"noise.window_size": "2048"})
+    kept = apply_config_values(StretchConfig().for_rate(22050), {"noise.window_size": "2048"})
     assert kept.noise.window_size == 2048
     assert kept.noise.hop_size == 512
-    same = scale_for_rate(StretchConfig(), 44100)
-    assert same.noise.window_size == 2048
+    default = StretchConfig()
+    assert default.for_rate(44100) is default
 
 
 def sections_and_leaves(config, prefix=""):
@@ -163,8 +163,10 @@ def test_settable_keys_and_frozen_sections():
 
 
 def write_input(tmp_path, kind="click_plus_hiss", duration=0.6, sample_rate=SR):
+    # written unclipped: click_plus_hiss peaks above 1.0, where write_wav would clip
     path = tmp_path / "in.wav"
-    write_wav(gen_signal(kind, duration, sample_rate, seed=3), path, "float32")
+    x = gen_signal(kind, duration, sample_rate, seed=3)
+    wavfile.write(path, sample_rate, x.samples.astype(np.float32))
     return path
 
 
@@ -305,6 +307,31 @@ def test_cli_stems_and_onsets(tmp_path):
     assert len(rows) > 1
     for inp_s, out_s in rows[1:]:
         assert int(out_s) == round(2 * int(inp_s))
+
+
+def test_cli_writes_what_stretch_returns(tmp_path):
+    """At 48 kHz the CLI's output, stems and onsets are those of one library
+    stretch call on the rate-scaled config."""
+    inp = write_input(tmp_path, duration=0.5, sample_rate=48000)
+    out, stems, onsets = tmp_path / "out.wav", tmp_path / "stems", tmp_path / "onsets.csv"
+    assert main([str(inp), str(out), "--alpha", "2", "--mode", "nm",
+                 "--stems", str(stems), "--onsets", str(onsets)]) == 0
+    y, branches = stretch(read_wav(inp), StretchConfig(alpha=2).for_rate(48000))
+
+    def assert_written(path, buf):
+        rate, data = wavfile.read(path)
+        assert rate == 48000
+        np.testing.assert_array_equal(data, buf.samples.astype(np.float32))
+
+    assert_written(out, y)
+    for name in ("sines", "transients", "noise"):
+        assert_written(stems / f"{name}.wav", getattr(branches.components, name))
+        assert_written(stems / f"{name}_stretched.wav", getattr(branches, name))
+    with open(onsets) as f:
+        rows = list(csv.reader(f))
+    expected = [[str(v) for v in row] for row in onsets_csv_rows(branches.events, 2)]
+    assert rows == [["input_sample", "output_sample"], *expected]
+    assert len(expected) > 0
 
 
 def test_cli_detects_events_once(tmp_path, monkeypatch):
