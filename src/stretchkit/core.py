@@ -5,11 +5,19 @@ and 64-bit floats internally. One overlap-add, `overlap_add`, sums
 frames for the ISTFT, its window-squared normalization and the vocoder's,
 which adds block after block into one output buffer.
 The ISTFT's per-sample normalization reconstructs the input exactly wherever
-at least one nonzero window value covers a sample. The truncated-edge median
-sorts each full window on its own in bounded blocks, on worker threads (up to
-one per CPU in the process's affinity) started per call and joined before it
-returns, while the calling thread sorts the edges one position at a time. Its
-output is bit-identical for any thread count, and no setting changes the count.
+at least one nonzero window value covers a sample.
+
+One thread rule serves the transforms and the median (`_parallel`): work on
+independent rows is dealt out to at most one task per CPU in the process's
+affinity, and each task but the first runs on a worker thread started for
+the call and joined before it returns. The STFT's window multiply and rfft
+and the ISTFT's irfft and window multiply run so on consecutive slices of
+frame rows once a transform reaches _THREADED_MIN values (smaller ones run
+inline); the overlap-add stays sequential, in frame order. The median sorts
+each full window on its own in bounded blocks on the worker threads while
+the calling thread sorts the truncated edge windows one position at a time.
+Every row is computed on its own, so all outputs are bit-identical for any
+thread count, and no setting changes the count.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -27,6 +36,10 @@ TIME_AXIS = "time"
 FREQ_AXIS = "frequency"
 
 _MEDIAN_BLOCK = 1 << 16  # values per sorted median block (512 KB)
+# frame values from which a transform runs on worker threads: a smaller one
+# takes a few milliseconds, and starting and joining a thread (up to about
+# 1 ms) would eat much of what the thread saves
+_THREADED_MIN = 1 << 20
 # peak |sample| accepted from a caller; every stage stays finite far above it
 MAX_AMPLITUDE = 1e100
 # longest output, just above what a 32-bit RIFF size field allows as float32
@@ -161,15 +174,21 @@ def stft(signal: AudioBuffer, params: StftParams) -> Spectrogram:
     x = signal.samples
     w, h = params.window_size, params.hop_size
     m = n_frames_for(len(x), params)
+    values = np.empty((m, params.n_bins), dtype=np.complex128)
     if m == 0:
-        return Spectrogram(
-            np.zeros((0, params.n_bins), dtype=np.complex128), w, h, signal.sample_rate
-        )
+        return Spectrogram(values, w, h, signal.sample_rate)
     padded_len = (m - 1) * h + w
     xp = np.zeros(padded_len)
     xp[: len(x)] = x
     frames = np.lib.stride_tricks.sliding_window_view(xp, w)[::h]
-    values = np.fft.rfft(frames * params.window(), axis=1)
+    win = params.window()
+
+    def transform(rows, windowed):
+        np.multiply(frames[rows], win, out=windowed)
+        np.fft.rfft(windowed, axis=1, out=values[rows])
+
+    _parallel([partial(transform, rows, np.empty((rows.stop - rows.start, w)))
+               for rows in _row_slices(m, w)])
     return Spectrogram(values, w, h, signal.sample_rate)
 
 
@@ -204,7 +223,13 @@ def istft(spec: Spectrogram) -> AudioBuffer:
     """
     w, h = spec.window_size, spec.hop_size
     win = StftParams(w, h).window()
-    frames = np.fft.irfft(spec.values, n=w, axis=1) * win
+    frames = np.empty((spec.n_frames, w))
+
+    def transform(rows):
+        np.fft.irfft(spec.values[rows], n=w, axis=1, out=frames[rows])
+        frames[rows] *= win
+
+    _parallel([partial(transform, rows) for rows in _row_slices(spec.n_frames, w)])
     out = overlap_add(frames, h)
     wsum = overlap_add(np.broadcast_to(win**2, frames.shape), h)
     covered = wsum > 0.0
@@ -221,10 +246,9 @@ def median_filter_axis(mag: Spectrogram, axis: str, length: int) -> Spectrogram:
     invented. length must be odd and positive; values must be finite.
 
     Full windows are sorted in blocks of at most _MEDIAN_BLOCK values, shared
-    among worker threads (one per CPU the process may use) that are started
-    for this call and joined before it returns. Meanwhile the calling thread
-    sorts the truncated windows, one edge position at a time. Each window is
-    sorted on its own, so the output is bit-identical for any thread count.
+    among the worker threads of _parallel, while the calling thread sorts the
+    truncated windows, one edge position at a time. Each window is sorted on
+    its own, so the output is bit-identical for any thread count.
     """
     if length < 1 or length % 2 == 0:
         raise ConfigurationError(f"median length must be odd and positive, got {length}")
@@ -241,16 +265,8 @@ def median_filter_axis(mag: Spectrogram, axis: str, length: int) -> Spectrogram:
     out = np.moveaxis(result, ax, 1)  # lines x positions, a view of result
     lines, n = out.shape
     data = np.ascontiguousarray(np.moveaxis(values, ax, 1))  # each line contiguous
-    full = _median_blocks(lines, n - 2 * half, length)
-    workers = min(len(full), _cpu_count())
-    # sort buffers come from this thread, so pool threads allocate nothing
-    buf_size = min(max(1, _MEDIAN_BLOCK // length), lines * n) * length
-    with ThreadPoolExecutor(max(1, workers), thread_name_prefix="stretchkit-median") as pool:
-        tasks = [
-            pool.submit(_full_medians, data, length, out[:, half : n - half], full[i::workers],
-                        np.empty(buf_size))
-            for i in range(workers)
-        ]
+
+    def edges():
         for i in [*range(min(half, n)), *range(max(half, n - half), n)]:
             window = np.sort(data[:, max(0, i - half) : i + half + 1], axis=1)
             mid = window.shape[1] // 2
@@ -259,8 +275,15 @@ def median_filter_axis(mag: Spectrogram, axis: str, length: int) -> Spectrogram:
             else:
                 with np.errstate(over="ignore"):
                     out[:, i] = (window[:, mid - 1] + window[:, mid]) / 2
-        for task in tasks:
-            task.result()
+
+    full = _median_blocks(lines, n - 2 * half, length)
+    workers = min(len(full), _cpu_count())
+    buf_size = min(max(1, _MEDIAN_BLOCK // length), lines * n) * length
+    _parallel([edges, *(
+        partial(_full_medians, data, length, out[:, half : n - half], full[i::workers],
+                np.empty(buf_size))
+        for i in range(workers)
+    )])
     return mag.copy_with(result)
 
 
@@ -290,6 +313,29 @@ def _full_medians(data: np.ndarray, length: int, out: np.ndarray, blocks: list,
         np.copyto(block, window)
         block.sort(axis=2)
         out[r, p] = block[..., length // 2]
+
+
+def _row_slices(rows: int, width: int) -> list:
+    """[0, rows) in consecutive slices, one per task, each transformed in one
+    FFT call: a single slice below _THREADED_MIN values of that width, else
+    one per CPU, at most one per row."""
+    tasks = 1 if rows * width < _THREADED_MIN else min(rows, _cpu_count())
+    return [slice(rows * i // tasks, rows * (i + 1) // tasks) for i in range(tasks)]
+
+
+def _parallel(tasks: list) -> None:
+    """Run each task (a callable taking no arguments): the first on the
+    calling thread, each other one on a worker thread started for this call
+    and joined before it returns. Re-raises the first error. Tasks must write
+    disjoint outputs; buffers they need come from the caller."""
+    if len(tasks) == 1:
+        tasks[0]()
+        return
+    with ThreadPoolExecutor(len(tasks) - 1, thread_name_prefix="stretchkit-worker") as pool:
+        futures = [pool.submit(task) for task in tasks[1:]]
+        tasks[0]()
+        for future in futures:
+            future.result()
 
 
 def _cpu_count() -> int:

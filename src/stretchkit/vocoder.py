@@ -119,8 +119,31 @@ def _pv_stretch(x: np.ndarray, alpha: float, window_size: int, synth_hop: int,
     wsum = overlap_add(np.broadcast_to(win**2, (n_syn, window_size)), synth_hop)
     # clamp to the full-overlap level so partially covered edge samples fade
     # out instead of being amplified by a tiny window sum
-    out /= np.maximum(wsum, np.median(wsum))
+    out /= np.maximum(wsum, _median_window_sum(wsum, window_size, synth_hop))
     return out[:out_length]
+
+
+def _median_window_sum(wsum: np.ndarray, window_size: int, hop: int) -> float:
+    """np.median(wsum) for the overlap-added squared windows of n frames,
+    found from the edges and one hop-long period with their counts.
+
+    Every sample in [window - hop, n*hop) sums the same window values in the
+    same frame order as the sample one hop before it, so that interior
+    repeats one period with identical bits; only the edges differ.
+    """
+    start = window_size - hop
+    stop = len(wsum) - start  # n*hop
+    if stop - start < hop:
+        return np.median(wsum)
+    repeats, extra = divmod(stop - start, hop)
+    values = np.concatenate((wsum[:start], wsum[stop:], wsum[start : start + hop]))
+    counts = np.concatenate((np.ones(2 * start, dtype=np.int64),
+                             repeats + (np.arange(hop) < extra)))
+    order = np.argsort(values, kind="stable")
+    ranks = np.cumsum(counts[order])  # values[order[i]] fills ranks [ranks[i-1], ranks[i])
+    n = len(wsum)
+    middle = order[np.searchsorted(ranks, [(n - 1) // 2, n // 2], side="right")]
+    return np.median(values[middle])  # the mean of the one or two middle values
 
 
 def _plain_block(spec, dts, omega, synth_hop, state):

@@ -150,6 +150,84 @@ def test_overlap_add_into_buffer_equals_frame_loop(m, w, hop):
     assert np.array_equal(out, expected)
 
 
+def stft_reference(x, params):
+    """Every frame windowed and transformed in one whole-array call."""
+    w, h = params.window_size, params.hop_size
+    m = core.n_frames_for(len(x), params)
+    xp = np.zeros((m - 1) * h + w)
+    xp[: len(x)] = x
+    frames = np.lib.stride_tricks.sliding_window_view(xp, w)[::h]
+    return np.fft.rfft(frames * params.window(), axis=1)
+
+
+def istft_reference(values, params):
+    """Whole-array irfft and window multiply, then a frame-loop overlap-add."""
+    win = params.window()
+    frames = np.fft.irfft(values, n=params.window_size, axis=1) * win
+    out = frame_loop_overlap_add(frames, params.hop_size)
+    wsum = frame_loop_overlap_add(np.broadcast_to(win**2, frames.shape), params.hop_size)
+    covered = wsum > 0.0
+    out[covered] /= wsum[covered]
+    out[~covered] = 0.0
+    return out
+
+
+# (samples, window, hop): inline and threaded shapes, two of them either side
+# of _THREADED_MIN = 2^20 frame values (1023 and 1024 frames of 1024)
+TRANSFORM_SHAPES = [
+    (20000, 512, 128), (100000, 8916, 2230), (1023 * 1024, 1024, 1024),
+    (1024 * 1024, 1024, 1024), (300000, 4096, 1024), (480000, 558, 140),
+]
+
+
+@pytest.mark.parametrize("n,window,hop", TRANSFORM_SHAPES)
+def test_transforms_same_bytes_for_any_thread_count(monkeypatch, n, window, hop):
+    params = StftParams(window, hop)
+    x = white(n, seed=n)
+    expected = stft_reference(x.samples, params)
+    expected_out = istft_reference(expected, params)
+    m = core.n_frames_for(n, params)
+    for cpus in (1, 2, 3, 7):
+        monkeypatch.setattr(core, "_cpu_count", lambda: cpus)
+        threaded = m * window >= core._THREADED_MIN and cpus > 1
+        assert (len(core._row_slices(m, window)) > 1) == threaded
+        spec = stft(x, params)
+        assert spec.values.tobytes() == expected.tobytes(), cpus
+        assert istft(spec).samples.tobytes() == expected_out.tobytes(), cpus
+    assert not [t for t in threading.enumerate() if t.name.startswith("stretchkit-")]
+
+
+def test_transforms_concurrent_callers_same_bytes(monkeypatch):
+    # every call threaded, by more workers than CPUs
+    monkeypatch.setattr(core, "_THREADED_MIN", 1)
+    monkeypatch.setattr(core, "_cpu_count", lambda: 3)
+    params = StftParams(512, 128)
+    x = white(40000, seed=9)
+    expected = stft_reference(x.samples, params)
+    expected_out = istft_reference(expected, params)
+    results = []
+
+    def call():
+        for _ in range(3):
+            spec = stft(x, params)
+            results.append(spec.values.tobytes() == expected.tobytes()
+                           and istft(spec).samples.tobytes() == expected_out.tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=call) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [True] * 12
+    assert not [t for t in threading.enumerate() if t.name.startswith("stretchkit-")]
+
+
 def test_output_length_bound():
     assert output_length(MAX_OUTPUT_SAMPLES, 1.0) == MAX_OUTPUT_SAMPLES
     for n, alpha in ((1, 2.0**31), (100, 1e12), (MAX_OUTPUT_SAMPLES + 1, 1.0), (10, 1e308)):
@@ -284,21 +362,38 @@ def median_grid():
     return values, out, hashlib.sha256(out.tobytes()).hexdigest()
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
-def test_median_filter_one_cpu_subprocess_same_bytes():
-    values, out, digest = median_grid()
-    assert np.array_equal(out, truncated_median(values, 0, 69))
+def transform_digest():
+    """sha256 of a threaded-size 48 kHz STFT and its ISTFT."""
+    spec = stft(white(500000, seed=5), StftParams(4458, 1115))
+    return hashlib.sha256(spec.values.tobytes() + istft(spec).samples.tobytes()).hexdigest()
+
+
+def one_cpu_stdout(expr):
+    """Words printed by a child process pinned to one CPU: its CPU count and
+    expr, evaluated after `import test_core`."""
     src = str(Path(core.__file__).resolve().parent.parent)
     code = (
         "import os, sys; sys.path.insert(0, sys.argv[1]); "
         "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
-        "import test_core; print(len(os.sched_getaffinity(0)), test_core.median_grid()[2])"
+        f"import test_core; print(len(os.sched_getaffinity(0)), {expr})"
     )
     result = subprocess.run(
         [sys.executable, "-c", code, str(Path(__file__).parent)], capture_output=True,
         text=True, env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120,
     )
-    assert result.stdout.split() == ["1", digest]
+    return result.stdout.split()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+def test_median_filter_one_cpu_subprocess_same_bytes():
+    values, out, digest = median_grid()
+    assert np.array_equal(out, truncated_median(values, 0, 69))
+    assert one_cpu_stdout("test_core.median_grid()[2]") == ["1", digest]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+def test_transforms_one_cpu_subprocess_same_bytes():
+    assert one_cpu_stdout("test_core.transform_digest()") == ["1", transform_digest()]
 
 
 def _median_digest_into(queue):
@@ -346,7 +441,7 @@ def test_median_filter_concurrent_callers_same_bytes(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert not [t for t in threading.enumerate() if t.name.startswith("stretchkit-median")]
+    assert not [t for t in threading.enumerate() if t.name.startswith("stretchkit-")]
     assert len(results) == 4 * 6
     assert all(np.array_equal(got, expected[axis]) for axis, got in results)
 

@@ -276,3 +276,12 @@ def test_frames_without_peaks_fall_back_and_recover(monkeypatch):
     switches = np.flatnonzero(np.diff(has_peaks.astype(int)))
     assert has_peaks[0] and has_peaks[-1] and len(switches) >= 4
     assert_near_reference(y, x, 2.0, PvParams())
+
+
+@pytest.mark.parametrize("window,hop", [(4096, 1024), (4458, 1115), (4096, 1000), (512, 128),
+                                        (2230, 558)])
+def test_median_window_sum_equals_np_median(window, hop):
+    wsq = StftParams(window, hop).window() ** 2
+    for n in [*range(1, 65), 257, 1000, 1723]:
+        wsum = overlap_add(np.broadcast_to(wsq, (n, window)), hop)
+        assert np.array_equal(vocoder._median_window_sum(wsum, window, hop), np.median(wsum)), n

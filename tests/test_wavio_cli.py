@@ -1,7 +1,12 @@
 import csv
 import dataclasses
+import os
+import struct
+import subprocess
+import sys
 import time
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -82,6 +87,110 @@ def test_nonfinite_float_wav_is_io_error(tmp_path, capsys):
     capsys.readouterr()
     assert main([str(path), str(tmp_path / "out.wav"), "--alpha", "2"]) == 1
     assert "I/O error:" in capsys.readouterr().err
+
+
+def fmt_chunk(tag, channels, bits, extensible=False):
+    align = channels * bits // 8
+    head = struct.pack("<HHIIHH", 0xFFFE if extensible else tag, channels, SR, SR * align,
+                       align, bits)
+    if not extensible:
+        return head
+    # cbSize, valid bits, channel mask, then the sub-format GUID with tag as Data1
+    guid = struct.pack("<IHH", tag, 0, 0x10) + bytes.fromhex("800000aa00389b71")
+    return head + struct.pack("<HHI", 22, bits, 0) + guid
+
+
+def riff(fmt, data, before=(), data_size=None):
+    """A RIFF/WAVE file: fmt chunk, the (id, body) chunks in before, each
+    padded to an even size, then a data chunk declaring data_size bytes."""
+    body = b"WAVE"
+    for cid, payload in ((b"fmt ", fmt), *before):
+        body += struct.pack("<4sI", cid, len(payload)) + payload + b"\0" * (len(payload) % 2)
+    size = len(data) if data_size is None else data_size
+    body += struct.pack("<4sI", b"data", size) + data
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+def scipy_normalized(path):
+    """scipy's reading of path, scaled to nominal +-1 and averaged to mono."""
+    rate, data = wavfile.read(path)
+    if data.dtype == np.uint8:
+        x = (data.astype(np.float64) - 128.0) / 128.0
+    elif data.dtype.kind == "i":
+        x = data / float(2 ** (8 * data.dtype.itemsize - 1))
+    else:
+        x = data.astype(np.float64)
+    return rate, (0.5 * (x[:, 0] + x[:, 1]) if x.ndim == 2 else x)
+
+
+_RNG = np.random.default_rng(11)
+_INTS = _RNG.integers(0, 256, 3 * 1001, dtype=np.uint8).tobytes()  # any bytes are PCM
+_FLOATS32 = _RNG.uniform(-1, 1, 1001).astype("<f4").tobytes()
+READER_CASES = {
+    "pcm8": (fmt_chunk(1, 1, 8), _INTS[:1001], ()),
+    "pcm16_stereo": (fmt_chunk(1, 2, 16), _INTS[:3000], ()),
+    "pcm24_extensible": (fmt_chunk(1, 1, 24, True), _INTS[:3000], ()),
+    "pcm24_odd_count": (fmt_chunk(1, 1, 24), _INTS[:3003], ()),
+    "pcm32": (fmt_chunk(1, 1, 32), _INTS[:3000], ()),
+    "float32_extensible": (fmt_chunk(3, 1, 32, True), _FLOATS32, ()),
+    "float64": (fmt_chunk(3, 1, 64), _RNG.uniform(-1, 1, 500).astype("<f8").tobytes(), ()),
+    "list_before_data": (fmt_chunk(1, 1, 16), _INTS[:2000],
+                         ((b"LIST", b"INFOISFT\x0e\x00\x00\x00stretchkit 1\x00\x00"),)),
+    "odd_chunk_before_data": (fmt_chunk(3, 1, 32), _FLOATS32, ((b"LIST", b"INFO!"),)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(READER_CASES))
+def test_reader_matches_scipy(tmp_path, case):
+    fmt, data, before = READER_CASES[case]
+    path = tmp_path / "x.wav"
+    path.write_bytes(riff(fmt, data, before))
+    rate, expected = scipy_normalized(path)
+    got = read_wav(path)
+    assert got.sample_rate == rate == SR
+    assert got.samples.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("chunk", ["data", "LIST"])
+def test_truncated_chunk_is_io_error(tmp_path, capsys, chunk):
+    path = tmp_path / "short.wav"
+    if chunk == "data":
+        path.write_bytes(riff(fmt_chunk(1, 1, 16), _INTS[:400], data_size=1000))
+    else:  # a size near 4 GiB is refused before anything of that size is read
+        data = riff(fmt_chunk(1, 1, 16), b"", ((b"LIST", b"INFO"),))
+        path.write_bytes(data.replace(struct.pack("<4sI", b"LIST", 4),
+                                      struct.pack("<4sI", b"LIST", 0xFFFFFFF0)))
+    with pytest.raises(AudioIOError, match=f"truncated {chunk} chunk"):
+        read_wav(path)
+    assert main([str(path), str(tmp_path / "out.wav"), "--alpha", "2"]) == 1
+    assert "I/O error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("depth,stored", [("16", np.int16), ("float32", np.float32)])
+def test_write_bytes_match_scipy(tmp_path, depth, stored):
+    x = np.concatenate([make_buf(999).samples, [-1.0, 1.0, 0.0]])
+    ours, theirs = tmp_path / "ours.wav", tmp_path / "scipy.wav"
+    write_wav(AudioBuffer(x, SR), ours, depth)
+    wavfile.write(theirs, SR, np.round(x * 32767.0).astype(stored) if depth == "16"
+                  else x.astype(stored))
+    assert ours.read_bytes() == theirs.read_bytes()
+
+
+def test_cli_run_imports_no_scipy(tmp_path):
+    write_input(tmp_path, duration=0.3, sample_rate=48000)
+    src = str(Path(pipeline.__file__).resolve().parent.parent)
+    code = (
+        "import sys; from stretchkit.cli import main; d = sys.argv[1] + '/'; "
+        "codes = [main([d + 'in.wav', d + 'nm.wav', '--alpha', '2', '--bit-depth', '24', "
+        "'--stems', d + 'stems', '--onsets', d + 'on.csv'])] + "
+        "[main([d + 'in.wav', d + depth + '.wav', '--alpha', '2', '--bit-depth', depth]) "
+        "for depth in ('float32', '16')]; "
+        "print(codes, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    result = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert result.stdout.splitlines()[-1] == "[0, 0, 0] []", result.stderr
+    assert len(list((tmp_path / "stems").glob("*.wav"))) == 6
 
 
 def test_write_rejects_bad_depth(tmp_path):
