@@ -16,13 +16,14 @@ Keys are the StretchConfig fields, nested ones dotted, e.g.:
     transient.fade_s = 0.005
 
 Command-line flags override config-file values. Both are applied to
-StretchConfig().for_rate(input rate), whose window and hop defaults are
-rescaled for inputs not at 44.1 kHz, so they are taken literally, and the
-final config is validated once. An unknown key exits 2, including a key that
-names a section (stn.stage1) and noise.seed and pv.alpha (seed and alpha are
-top-level keys only), and so does a value that fails validation. run() then
-makes one pipeline.stretch call and writes the output, the nm/ni stems and
-onsets, and the RESULT: line.
+StretchConfig().for_rate(input rate), so they are taken literally, and the
+final config is validated once. for_rate rescales the window and hop
+defaults for inputs not at 44.1 kHz: each window to the nearest even
+5-smooth length, each hop in its section's hop/window ratio. An unknown key
+exits 2, including a key that names a section (stn.stage1) and noise.seed
+and pv.alpha (seed and alpha are top-level keys only), and so does a value
+that fails validation. run() then makes one pipeline.stretch call and writes
+the output, the nm/ni stems and onsets, and the RESULT: line.
 """
 
 from __future__ import annotations

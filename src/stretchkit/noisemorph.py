@@ -177,7 +177,11 @@ def stretch_noise(
     exc_padded = AudioBuffer(
         np.pad(excitation.samples, (pad, pad)), noise.sample_rate
     )
+    # each signal is released once the next form of it exists, which lowers
+    # the stage's peak memory
+    del excitation
     exc_spec = stft(exc_padded, sp)
+    del exc_padded
     exc_spec = exc_spec.copy_with(exc_spec.values / window_energy(sp))
     target = _pad_target_frames(target, exc_spec.n_frames, lead_frames)
 

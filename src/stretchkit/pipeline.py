@@ -12,6 +12,7 @@ Modes:
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass, field
 
 from .core import AudioBuffer, check_alpha, check_amplitude, check_seed, output_length
@@ -28,12 +29,30 @@ from .vocoder import PvParams, stretch_plain, stretch_sines
 
 MODES = ("nm", "ni", "nd", "an")
 
-# the sample-denominated settings that for_rate rescales, per section
+# the sample-denominated (window, hop) pairs that for_rate rescales, per section
 RATE_SCALED_FIELDS = {
-    "stn": ("long_window", "long_hop", "short_window", "short_hop"),
-    "noise": ("window_size", "hop_size"),
-    "pv": ("window_size", "synthesis_hop"),
+    "stn": (("long_window", "long_hop"), ("short_window", "short_hop")),
+    "noise": (("window_size", "hop_size"),),
+    "pv": (("window_size", "synthesis_hop"),),
 }
+
+
+def _even_5_smooth(n: int) -> bool:
+    if n < 2 or n % 2:
+        return False
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def _fast_length(n: int) -> int:
+    """The even 5-smooth length 2^a * 3^b * 5^c (a >= 1) nearest n, the
+    shorter one on a tie: a length the FFT transforms fast."""
+    for distance in itertools.count():
+        for m in (n - distance, n + distance):
+            if _even_5_smooth(m):
+                return m
 
 
 @dataclass(frozen=True)
@@ -55,18 +74,25 @@ class StretchConfig:
 
     def for_rate(self, sample_rate: int) -> StretchConfig:
         """A copy with the sample-denominated sizes rescaled from 44.1 kHz to
-        sample_rate, each to the nearest even count of at least 2, and each
-        scaled section rebuilt so its checks run; self at 44.1 kHz. Settings in
-        seconds are left alone. stretch never calls this."""
+        sample_rate, and each scaled section rebuilt so its checks run; self
+        at 44.1 kHz. Each window is scaled to the nearest even count of at
+        least 2, then rounded to the nearest even 5-smooth length (the shorter
+        on a tie), a length the FFT transforms fast. Its hop becomes
+        round(new window * hop / window), at least 1, from the section's own
+        unscaled hop and window. Settings in seconds are left alone. stretch
+        never calls this."""
         if sample_rate == 44100:
             return self
         ratio = sample_rate / 44100.0
         scaled = {}
-        for section, names in RATE_SCALED_FIELDS.items():
+        for section, pairs in RATE_SCALED_FIELDS.items():
             target = getattr(self, section)
-            scaled[section] = dataclasses.replace(target, **{
-                name: max(2, int(round(getattr(target, name) * ratio / 2)) * 2) for name in names
-            })
+            sizes = {}
+            for window_name, hop_name in pairs:
+                window, hop = getattr(target, window_name), getattr(target, hop_name)
+                sizes[window_name] = _fast_length(max(2, int(round(window * ratio / 2)) * 2))
+                sizes[hop_name] = max(1, round(sizes[window_name] * hop / window))
+            scaled[section] = dataclasses.replace(target, **sizes)
         return dataclasses.replace(self, **scaled)
 
 

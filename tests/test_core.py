@@ -173,10 +173,12 @@ def istft_reference(values, params):
 
 
 # (samples, window, hop): inline and threaded shapes, two of them either side
-# of _THREADED_MIN = 2^20 frame values (1023 and 1024 frames of 1024)
+# of _THREADED_MIN = 2^20 frame values (1023 and 1024 frames of 1024), and the
+# four 48 kHz sizes of StretchConfig.for_rate, two with odd hops
 TRANSFORM_SHAPES = [
     (20000, 512, 128), (100000, 8916, 2230), (1023 * 1024, 1024, 1024),
     (1024 * 1024, 1024, 1024), (300000, 4096, 1024), (480000, 558, 140),
+    (480000, 4500, 1125), (480000, 2250, 1125), (100000, 9000, 2250), (480000, 540, 135),
 ]
 
 

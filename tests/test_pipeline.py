@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,11 +6,13 @@ import pytest
 
 from stretchkit.core import MAX_AMPLITUDE, AudioBuffer, Spectrogram
 from stretchkit.errors import ConfigurationError
-from stretchkit.metrics import dominant_frequency, onset_positions
+from stretchkit.metrics import dominant_frequency, octave_band_levels, onset_positions
 from stretchkit.noisemorph import NoiseMorphParams, lerp_frames, stretch_noise
 from stretchkit.pipeline import (
     MODES,
+    RATE_SCALED_FIELDS,
     StretchConfig,
+    _fast_length,
     output_length,
     stretch,
     stretch_components,
@@ -18,7 +21,7 @@ from stretchkit.pipeline import (
 from stretchkit.signals import click_times, gen_signal
 from stretchkit.stn import StnConfig, stn_decompose
 from stretchkit.transients import TransientDetectParams, reposition_events
-from stretchkit.vocoder import stretch_plain, stretch_sines
+from stretchkit.vocoder import PvParams, stretch_plain, stretch_sines
 
 SR = 44100
 
@@ -187,3 +190,79 @@ def test_level_roughly_preserved():
         i_out = slice(4096, len(y) - 4096)
         gain_db = 20 * np.log10(np.std(y.samples[i_out]) / np.std(x.samples[i_in]))
         assert abs(gain_db) <= 3.0
+
+
+def _even_5_smooth(n):
+    if n < 2 or n % 2:
+        return False
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def test_fast_length():
+    smooth = [m for m in range(2, 9000) if _even_5_smooth(m)]
+    for n in range(1, 8000):
+        assert _fast_length(n) == min(smooth, key=lambda m: (abs(m - n), m)), n
+    # ties go to the shorter length: 14 lies between 12 and 16, 558 between 540 and 576
+    assert [_fast_length(n) for n in (1, 2, 3, 14, 558)] == [2, 2, 2, 12, 540]
+    assert [_fast_length(n) for n in (2230, 4458, 8916)] == [2250, 4500, 9000]
+    for m in (*smooth, 2**16, 36000, 2 * 3**9 * 5**4):
+        assert _fast_length(m) == m
+
+
+SCALED_RATES = [8000, 11025, 16000, 22050, 32000, 48000, 88200, 96000, 192000]
+
+
+@pytest.mark.parametrize("rate", SCALED_RATES)
+@pytest.mark.parametrize("config", [StretchConfig(), StretchConfig(pv=PvParams(4096, 1000))],
+                         ids=["default", "pv-4096-1000"])
+def test_for_rate_gives_fast_lengths(config, rate):
+    scaled = config.for_rate(rate)
+    ratio = rate / 44100
+    for section, pairs in RATE_SCALED_FIELDS.items():
+        before, after = getattr(config, section), getattr(scaled, section)
+        for window_name, hop_name in pairs:
+            w0, h0 = getattr(before, window_name), getattr(before, hop_name)
+            w, h = getattr(after, window_name), getattr(after, hop_name)
+            assert _even_5_smooth(w), (section, window_name, w)
+            assert abs(w - w0 * ratio) <= 0.1 * w0 * ratio, (section, window_name, w)
+            # the section's own hop/window ratio, to within the hop's rounding
+            assert h >= 1 and abs(h - w * h0 / w0) <= 0.5, (section, hop_name, h)
+        dataclasses.replace(after)  # the section's checks pass
+    assert (scaled.alpha, scaled.transient) == (config.alpha, config.transient)
+
+
+def test_for_rate_48k_sizes():
+    scaled = StretchConfig().for_rate(48000)
+    stn = scaled.stn
+    assert (stn.long_window, stn.long_hop, stn.short_window, stn.short_hop) == (9000, 2250, 540, 135)
+    assert (scaled.noise.window_size, scaled.noise.hop_size) == (2250, 1125)
+    assert (scaled.pv.window_size, scaled.pv.synthesis_hop) == (4500, 1125)
+    assert StretchConfig(pv=PvParams(4096, 1000)).for_rate(48000).pv == PvParams(4500, 1099)
+
+
+ORACLE_PARTIALS = (440.0, 660.0)  # two_tone's defaults
+
+
+@pytest.mark.parametrize("rate", [48000, 96000])
+@pytest.mark.parametrize("alpha", [0.5, 2.0, 4.0])
+@pytest.mark.parametrize("kind", ["click_plus_hiss", "two_tone", "shaped_noise"])
+def test_nm_oracles_at_scaled_rates(kind, alpha, rate):
+    duration = 2.0
+    x = gen_signal(kind, duration, rate, seed=1)
+    y = time_stretch(x, StretchConfig(alpha=alpha).for_rate(rate))
+    assert len(y) == output_length(len(x), alpha) and y.sample_rate == rate
+    if kind == "click_plus_hiss":
+        found = onset_positions(y)
+        expected = alpha * click_times(duration, 0.25, 0.25)
+        assert len(found) == len(expected)
+        assert np.max(np.abs(found - expected)) <= 0.010
+    elif kind == "two_tone":
+        f = dominant_frequency(y)
+        assert min(abs(f - p) for p in ORACLE_PARTIALS) <= 1.0
+    else:
+        _, level_in = octave_band_levels(x)
+        _, level_out = octave_band_levels(y)
+        assert np.max(np.abs(level_out - level_in)) <= 2.0

@@ -279,7 +279,8 @@ def test_frames_without_peaks_fall_back_and_recover(monkeypatch):
 
 
 @pytest.mark.parametrize("window,hop", [(4096, 1024), (4458, 1115), (4096, 1000), (512, 128),
-                                        (2230, 558)])
+                                        (2230, 558), (4500, 1125), (2250, 1125), (9000, 2250),
+                                        (540, 135)])
 def test_median_window_sum_equals_np_median(window, hop):
     wsq = StftParams(window, hop).window() ** 2
     for n in [*range(1, 65), 257, 1000, 1723]:

@@ -358,12 +358,12 @@ def test_cli_unbounded_output_exits_2(tmp_path, capsys, mode):
 def test_cli_validates_scaled_config(tmp_path):
     out = tmp_path / "out.wav"
     cfg = tmp_path / "c.cfg"
-    # the scaled synthesis hop (2230) exceeds half the literal 4096 window
+    # the scaled synthesis hop (2250) exceeds half the literal 4096 window
     cfg.write_text("pv.window_size = 4096\n")
     inp = write_input(tmp_path, "sine", 0.2, 96000)
     assert main([str(inp), str(out), "--alpha", "2", "--mode", "an",
                  "--config", str(cfg)]) == 2
-    # the unscaled hop (1024) would exceed half of 512, the scaled one (186) does not
+    # the unscaled hop (1024) would exceed half of 512, the scaled one (188) does not
     cfg.write_text("pv.window_size = 512\n")
     inp = write_input(tmp_path, "sine", 0.2, 8000)
     assert main([str(inp), str(out), "--alpha", "2", "--mode", "an",
