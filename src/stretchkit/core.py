@@ -44,6 +44,8 @@ _THREADED_MIN = 1 << 20
 MAX_AMPLITUDE = 1e100
 # longest output, just above what a 32-bit RIFF size field allows as float32
 MAX_OUTPUT_SAMPLES = 2**30
+# longest analysis window, far above the 144000 that for_rate gives at 768 kHz
+MAX_WINDOW = 2**20
 
 
 @dataclass
@@ -104,8 +106,10 @@ class StftParams:
     hop_size: int
 
     def __post_init__(self):
-        if self.window_size <= 0:
-            raise ConfigurationError(f"window_size must be positive, got {self.window_size}")
+        if not 0 < self.window_size <= MAX_WINDOW:
+            raise ConfigurationError(
+                f"window_size must be positive and at most {MAX_WINDOW}, got {self.window_size}"
+            )
         if self.hop_size <= 0:
             raise ConfigurationError(f"hop_size must be positive, got {self.hop_size}")
         if self.hop_size > self.window_size:

@@ -79,8 +79,10 @@ class StretchConfig:
         least 2, then rounded to the nearest even 5-smooth length (the shorter
         on a tie), a length the FFT transforms fast. Its hop becomes
         round(new window * hop / window), at least 1, from the section's own
-        unscaled hop and window. Settings in seconds are left alone. stretch
-        never calls this."""
+        unscaled hop and window. Settings in seconds are left alone. A rate
+        whose scaled sizes fail their section's checks (a window over
+        MAX_WINDOW, or a vocoder window under 8) raises ConfigurationError
+        naming the rate. stretch never calls this."""
         if sample_rate == 44100:
             return self
         ratio = sample_rate / 44100.0
@@ -92,7 +94,10 @@ class StretchConfig:
                 window, hop = getattr(target, window_name), getattr(target, hop_name)
                 sizes[window_name] = _fast_length(max(2, int(round(window * ratio / 2)) * 2))
                 sizes[hop_name] = max(1, round(sizes[window_name] * hop / window))
-            scaled[section] = dataclasses.replace(target, **sizes)
+            try:
+                scaled[section] = dataclasses.replace(target, **sizes)
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"sample rate {sample_rate} Hz: {section}: {exc}") from None
         return dataclasses.replace(self, **scaled)
 
 

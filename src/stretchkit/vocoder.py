@@ -10,7 +10,8 @@ turned by one rotation per peak region, so phases are taken only at peak
 bins. Without locking every bin propagates independently (the plain vocoder
 used as quality anchor). Frames are transformed, synthesized and
 overlap-added in blocks of at most _FRAME_BLOCK values, a constant, not a
-setting.
+setting, then divided by the overlap-added squared window, clamped below at
+its lowest full-overlap value (for short outputs, its median where lower).
 """
 
 from __future__ import annotations
@@ -31,13 +32,17 @@ class PvParams:
     synthesis_hop: int = 1024
 
     def __post_init__(self):
-        if self.window_size <= 0 or self.synthesis_hop <= 0:
-            raise ConfigurationError("window_size and synthesis_hop must be positive")
+        self.stft_params()
+        if self.window_size < 8:  # the 5 bins find_peaks needs
+            raise ConfigurationError(f"window_size must be at least 8, got {self.window_size}")
         if self.synthesis_hop > self.window_size // 2:
             raise ConfigurationError(
                 f"synthesis_hop {self.synthesis_hop} exceeds half the window "
                 f"({self.window_size // 2})"
             )
+
+    def stft_params(self) -> StftParams:
+        return StftParams(self.window_size, self.synthesis_hop)
 
 
 def find_peaks(mag_frame: np.ndarray) -> np.ndarray:
@@ -89,12 +94,16 @@ def _inst_freq(phase, prev_phase, omega, dt):
     return omega + _princarg(phase - prev_phase - omega * dt) / dt
 
 
-def _pv_stretch(x: np.ndarray, alpha: float, window_size: int, synth_hop: int,
-                locked: bool) -> np.ndarray:
+def _pv_stretch(signal: AudioBuffer, alpha: float, pv: PvParams | None,
+                locked: bool) -> AudioBuffer:
+    """The body of stretch_sines (locked) and stretch_plain."""
+    check_alpha(alpha)
+    x = signal.samples
+    params = (PvParams() if pv is None else pv).stft_params()
     out_length = output_length(len(x), alpha)
     if out_length == 0 or len(x) == 0:
-        return np.zeros(out_length)
-    params = StftParams(window_size, synth_hop)
+        return AudioBuffer(np.zeros(out_length), signal.sample_rate)
+    window_size, synth_hop = params.window_size, params.hop_size
     win = params.window()
     omega = 2.0 * np.pi * np.arange(params.n_bins) / window_size  # phase advance per sample
 
@@ -117,33 +126,17 @@ def _pv_stretch(x: np.ndarray, alpha: float, window_size: int, synth_hop: int,
                     out=out[b0 * synth_hop : (b1 - 1) * synth_hop + window_size])
 
     wsum = overlap_add(np.broadcast_to(win**2, (n_syn, window_size)), synth_hop)
-    # clamp to the full-overlap level so partially covered edge samples fade
-    # out instead of being amplified by a tiny window sum
-    out /= np.maximum(wsum, _median_window_sum(wsum, window_size, synth_hop))
-    return out[:out_length]
+    out /= np.maximum(wsum, _clamp_level(wsum, win, synth_hop))
+    return AudioBuffer(out[:out_length], signal.sample_rate)
 
 
-def _median_window_sum(wsum: np.ndarray, window_size: int, hop: int) -> float:
-    """np.median(wsum) for the overlap-added squared windows of n frames,
-    found from the edges and one hop-long period with their counts.
-
-    Every sample in [window - hop, n*hop) sums the same window values in the
-    same frame order as the sample one hop before it, so that interior
-    repeats one period with identical bits; only the edges differ.
-    """
-    start = window_size - hop
-    stop = len(wsum) - start  # n*hop
-    if stop - start < hop:
-        return np.median(wsum)
-    repeats, extra = divmod(stop - start, hop)
-    values = np.concatenate((wsum[:start], wsum[stop:], wsum[start : start + hop]))
-    counts = np.concatenate((np.ones(2 * start, dtype=np.int64),
-                             repeats + (np.arange(hop) < extra)))
-    order = np.argsort(values, kind="stable")
-    ranks = np.cumsum(counts[order])  # values[order[i]] fills ranks [ranks[i-1], ranks[i])
-    n = len(wsum)
-    middle = order[np.searchsorted(ranks, [(n - 1) // 2, n // 2], side="right")]
-    return np.median(values[middle])  # the mean of the one or two middle values
+def _clamp_level(wsum, win, synth_hop):
+    """The lowest full-overlap window sum (one hop of a k-frame sum), or the median
+    of the first 3k frames where lower, as in short outputs: from 3k frames on every
+    fully overlapped sample is divided by its own sum, as in istft."""
+    w, k = len(win), -(-len(win) // synth_hop)
+    full = overlap_add(np.broadcast_to(win**2, (k, w)), synth_hop)[w - synth_hop : w]
+    return min(np.median(wsum[: (3 * k - 1) * synth_hop + w]), full.min())
 
 
 def _plain_block(spec, dts, omega, synth_hop, state):
@@ -204,17 +197,9 @@ def _locked_block(spec, dts, omega, synth_hop, state):
 
 def stretch_sines(sines: AudioBuffer, alpha: float, params: PvParams | None = None) -> AudioBuffer:
     """Time-stretch with identity phase locking; output len = round(alpha*N)."""
-    if params is None:
-        params = PvParams()
-    check_alpha(alpha)
-    out = _pv_stretch(sines.samples, alpha, params.window_size, params.synthesis_hop, True)
-    return AudioBuffer(out, sines.sample_rate)
+    return _pv_stretch(sines, alpha, params, True)
 
 
 def stretch_plain(x: AudioBuffer, alpha: float, params: PvParams | None = None) -> AudioBuffer:
     """Plain phase vocoder (no phase locking); the listening-test anchor."""
-    if params is None:
-        params = PvParams()
-    check_alpha(alpha)
-    out = _pv_stretch(x.samples, alpha, params.window_size, params.synthesis_hop, False)
-    return AudioBuffer(out, x.sample_rate)
+    return _pv_stretch(x, alpha, params, False)

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from stretchkit.core import MAX_AMPLITUDE, AudioBuffer, Spectrogram
+from stretchkit.core import MAX_AMPLITUDE, MAX_WINDOW, AudioBuffer, Spectrogram
 from stretchkit.errors import ConfigurationError
 from stretchkit.metrics import dominant_frequency, octave_band_levels, onset_positions
 from stretchkit.noisemorph import NoiseMorphParams, lerp_frames, stretch_noise
@@ -241,6 +241,15 @@ def test_for_rate_48k_sizes():
     assert (scaled.noise.window_size, scaled.noise.hop_size) == (2250, 1125)
     assert (scaled.pv.window_size, scaled.pv.synthesis_hop) == (4500, 1125)
     assert StretchConfig(pv=PvParams(4096, 1000)).for_rate(48000).pv == PvParams(4500, 1099)
+
+
+@pytest.mark.parametrize("rate,section", [(40, "pv"), (4294967295, "stn")])
+def test_for_rate_rejects_unusable_rates(rate, section):
+    # at 40 Hz the vocoder window (4) has too few bins to find peaks; at the
+    # largest rate a WAV header can state, the STN windows exceed MAX_WINDOW
+    with pytest.raises(ConfigurationError, match=f"sample rate {rate} Hz: {section}:"):
+        StretchConfig().for_rate(rate)
+    assert StretchConfig().for_rate(768000).stn.long_window == 144000 <= MAX_WINDOW
 
 
 ORACLE_PARTIALS = (440.0, 660.0)  # two_tone's defaults

@@ -4,7 +4,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stretchkit import vocoder
-from stretchkit.core import AudioBuffer, StftParams, n_frames_for, output_length, overlap_add
+from stretchkit.core import (
+    MAX_WINDOW,
+    AudioBuffer,
+    StftParams,
+    n_frames_for,
+    output_length,
+    overlap_add,
+)
 from stretchkit.errors import ConfigurationError
 from stretchkit.metrics import dominant_frequency
 from stretchkit.signals import gen_signal, sine, two_tone
@@ -173,17 +180,32 @@ def test_anchor_identity_and_pitch():
 
 
 def test_invalid_params():
-    with pytest.raises(ConfigurationError):
-        PvParams(window_size=1024, synthesis_hop=1024)
+    # under 8 samples the locked vocoder has fewer than the 5 bins find_peaks
+    # needs; over MAX_WINDOW a window is rejected by StftParams
+    for window, hop in [(1024, 1024), (6, 3), (4, 2), (4, 1), (MAX_WINDOW + 2, 1024)]:
+        with pytest.raises(ConfigurationError):
+            PvParams(window_size=window, synthesis_hop=hop)
+    assert PvParams(8, 4).window_size == 8
     with pytest.raises(ConfigurationError):
         stretch_sines(sine(440.0, 0.1, SR), 0.0)
     with pytest.raises(ConfigurationError):
         stretch_plain(sine(440.0, 0.1, SR), -2.0)
 
 
-def pv_stretch_loop(x, alpha, window_size, synth_hop, locked):
+def clamp_level(wsum, window_size, synth_hop):
+    """The vocoder's lowest divisor: the lowest full-overlap window sum, or
+    the median sum over the first 3k frames where that is lower."""
+    k = -(-window_size // synth_hop)
+    wsq = StftParams(window_size, synth_hop).window() ** 2
+    full = overlap_add(np.broadcast_to(wsq, (k, window_size)), synth_hop)
+    full = full[window_size - synth_hop : window_size]  # one hop of full overlap
+    return min(np.median(wsum[: (3 * k - 1) * synth_hop + window_size]), full.min())
+
+
+def pv_stretch_loop(x, alpha, window_size, synth_hop, locked, level=clamp_level):
     """Reference: the frame-by-frame vocoder the blocked one replaced (one
-    rfft, angle and full-bin exp per frame, locking as phase + rotation)."""
+    rfft, angle and full-bin exp per frame, locking as phase + rotation),
+    its window sum clamped below at level(wsum, window_size, synth_hop)."""
     out_length = output_length(len(x), alpha)
     params = StftParams(window_size, synth_hop)
     win = params.window()
@@ -215,7 +237,7 @@ def pv_stretch_loop(x, alpha, window_size, synth_hop, locked):
             np.fft.irfft(mag * np.exp(1j * psi), n=window_size) * win
         )
     wsum = overlap_add(np.broadcast_to(win**2, (n_syn, window_size)), synth_hop)
-    out /= np.maximum(wsum, np.median(wsum))
+    out /= np.maximum(wsum, level(wsum, window_size, synth_hop))
     return out[:out_length]
 
 
@@ -282,7 +304,68 @@ def test_frames_without_peaks_fall_back_and_recover(monkeypatch):
                                         (2230, 558), (4500, 1125), (2250, 1125), (9000, 2250),
                                         (540, 135)])
 def test_median_window_sum_equals_np_median(window, hop):
-    wsq = StftParams(window, hop).window() ** 2
+    """The vocoder's clamp level is np.median(wsum) below k frames (no sample
+    fully overlapped), the lower of that median and the lowest fully
+    overlapped sum [W - h, n h) below 3k frames, and that lowest sum from 3k
+    frames on."""
+    win = StftParams(window, hop).window()
+    k = -(-window // hop)
     for n in [*range(1, 65), 257, 1000, 1723]:
-        wsum = overlap_add(np.broadcast_to(wsq, (n, window)), hop)
-        assert np.array_equal(vocoder._median_window_sum(wsum, window, hop), np.median(wsum)), n
+        wsum = overlap_add(np.broadcast_to(win**2, (n, window)), hop)
+        level = vocoder._clamp_level(wsum, win, hop)
+        if n < k:
+            assert level == np.median(wsum), n
+        elif n < 3 * k:
+            assert level == min(np.median(wsum), wsum[window - hop : n * hop].min()), n
+        else:
+            assert level == wsum[window - hop : n * hop].min(), n
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+@pytest.mark.parametrize("stretch", [stretch_sines, stretch_plain])
+def test_half_overlap_sine_has_no_ripple(stretch, alpha):
+    """At 50 % overlap the overlap-added squared Hann window is not flat: each
+    fully overlapped sample must be divided by its own window sum, not by a
+    level above it, or a sine dips every hop."""
+    params = PvParams(4096, 2048)
+    w = params.window_size
+    y = stretch(sine(440.0, 1.0, SR), alpha, params).samples
+    interior = y[w : len(y) - 3 * w]  # frames after it read past the input's end
+    envelope = np.abs(interior[: len(interior) // 256 * 256]).reshape(-1, 256).max(axis=1)
+    assert 20 * np.log10(envelope.min() / envelope.max()) > -0.05
+
+
+@pytest.mark.parametrize("alpha", [1.0, 2.0])
+@pytest.mark.parametrize("stretch", [stretch_sines, stretch_plain])
+def test_output_start_independent_of_length(stretch, alpha):
+    """From 3k frames on the clamp depends on the window and hop alone, so
+    the partially covered first window - hop samples do not change with
+    the input's length."""
+    params = PvParams(4096, 2048)
+    framing = params.stft_params()
+    w, hop = params.window_size, params.synthesis_hop
+    x = gen_signal("two_tone", 1.0)
+    short, long = (AudioBuffer(x.samples[:n], SR) for n in (round(0.4 * SR), len(x)))
+    frames = [n_frames_for(output_length(len(s), alpha), framing) for s in (short, long)]
+    assert min(frames) >= 3 * -(-w // hop)
+    wsq = framing.window() ** 2
+    medians = [np.median(overlap_add(np.broadcast_to(wsq, (m, w)), hop)) for m in frames]
+    assert medians[0] != medians[1]  # a whole-output median clamp would differ
+    a, b = stretch(short, alpha, params).samples, stretch(long, alpha, params).samples
+    assert np.array_equal(a[: w - hop], b[: w - hop])
+
+
+@pytest.mark.parametrize("window,hop", [(4096, 1024), (4096, 2048), (512, 128), (4096, 1000)])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+def test_short_outputs_keep_median_clamp(window, hop, alpha):
+    """Outputs of fewer than k = ceil(window / hop) frames are divided by
+    max(wsum, median(wsum)), bit for bit."""
+    k = -(-window // hop)
+    for frames in range(1, k):
+        n = round((window + (frames - 1) * hop) / alpha)
+        assert n_frames_for(output_length(n, alpha), StftParams(window, hop)) == frames
+        x = AudioBuffer(np.random.default_rng(frames).standard_normal(n), SR)
+        y = stretch_plain(x, alpha, PvParams(window, hop)).samples
+        ref = pv_stretch_loop(x.samples, alpha, window, hop, False,
+                              level=lambda wsum, w, h: np.median(wsum))
+        assert np.array_equal(y, ref), frames

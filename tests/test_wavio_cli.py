@@ -336,6 +336,7 @@ def test_cli_exit_codes(tmp_path, capsys):
         "seed = -1",
         "stn.short_window = 64",  # below stn.short_hop
         "noise.floor_db = 4000",  # the morph's 10 ** (dB / 10) overflows
+        "stn.long_window = 2000000000",  # above MAX_WINDOW
     ]:
         cfg.write_text(line + "\n")
         capsys.readouterr()
@@ -353,6 +354,20 @@ def test_cli_unbounded_output_exits_2(tmp_path, capsys, mode):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "exceeds the limit" in err
+
+
+def test_cli_rejects_rate_with_huge_windows(tmp_path, capsys):
+    """A 100-sample float WAV whose header states 4294967295 Hz: for_rate
+    would scale the STN window past MAX_WINDOW, so the CLI exits 2 before
+    any stage allocates it."""
+    path = tmp_path / "huge_rate.wav"
+    fmt = struct.pack("<HHIIHH", 3, 1, 2**32 - 1, 0, 4, 32)
+    path.write_bytes(riff(fmt, np.zeros(100, dtype="<f4").tobytes()))
+    started = time.perf_counter()
+    assert main([str(path), str(tmp_path / "out.wav"), "--alpha", "2"]) == 2
+    assert time.perf_counter() - started < 10.0
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: sample rate 4294967295 Hz:"), err
 
 
 def test_cli_validates_scaled_config(tmp_path):
