@@ -236,12 +236,11 @@ def criterion_ablation_separation() -> list[MetricReport]:
 
     sp = params.stft_params()
     spec = stft(noise, sp)
-    target = lerp_frames(log_magnitude(spec, params.floor_db), 2.0)
     exc = generate_excitation(output_length(len(noise), 2.0), 5, SAMPLE_RATE)
     exc_spec = stft(exc, sp)
     exc_spec = exc_spec.copy_with(exc_spec.values / window_energy(sp))
-    exc_spec = exc_spec.copy_with(exc_spec.values[: target.n_frames])
-    target = target.copy_with(target.values[: exc_spec.n_frames])
+    target = lerp_frames(log_magnitude(spec, params.floor_db),
+                         np.arange(exc_spec.n_frames) / 2.0)
 
     want = 10.0 ** (target.values / 10.0)
     got_ni = np.abs(morph_replace(target, exc_spec).values)

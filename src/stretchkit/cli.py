@@ -39,7 +39,7 @@ from pathlib import Path
 from .errors import AudioIOError, ConfigurationError
 from .pipeline import MODES, StretchConfig, stretch
 # Only the benchmark tracer (perfbench/spans.py) needs the next four names here: it patches
-# them in this module. ROADMAP item 3 deletes them with that patching.
+# them in this module. ROADMAP items 1 and 2 delete them with that patching.
 from .pipeline import stretch_components, time_stretch
 from .stn import stn_decompose
 from .transients import detect_events, onsets_csv_rows

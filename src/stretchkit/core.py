@@ -50,7 +50,7 @@ MAX_WINDOW = 2**20
 
 @dataclass
 class AudioBuffer:
-    """Mono sample sequence plus its sample rate."""
+    """Mono sample sequence plus its sample rate, a positive integer in Hz."""
 
     samples: np.ndarray
     sample_rate: int
@@ -59,8 +59,9 @@ class AudioBuffer:
         self.samples = np.asarray(self.samples, dtype=np.float64)
         if self.samples.ndim != 1:
             raise ConfigurationError("AudioBuffer requires a 1-D sample array")
-        if self.sample_rate <= 0:
-            raise ConfigurationError(f"sample_rate must be positive, got {self.sample_rate}")
+        rate = self.sample_rate
+        if isinstance(rate, bool) or not isinstance(rate, (int, np.integer)) or rate <= 0:
+            raise ConfigurationError(f"sample_rate must be a positive integer, got {rate!r}")
         if self.samples.size and not np.all(np.isfinite(self.samples)):
             raise ConfigurationError("AudioBuffer samples must be finite")
 

@@ -1,4 +1,6 @@
-"""Evaluation harness CLI: `harness run-acceptance [--filter] [--report]`."""
+"""Evaluation harness CLI: `harness run-acceptance [--filter] [--report]`.
+
+The acceptance oracles use scipy, which only the `harness` extra installs."""
 
 from __future__ import annotations
 
@@ -6,7 +8,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .acceptance import run_acceptance
+INSTALL_HINT = "harness needs scipy: pip install 'stretchkit[harness]'"
 
 
 def main(argv=None) -> int:
@@ -18,6 +20,13 @@ def main(argv=None) -> int:
     acc.add_argument("--report", type=Path, default=None, help="write full CSV report here")
     args = parser.parse_args(argv)
 
+    try:
+        from .acceptance import run_acceptance
+    except ModuleNotFoundError as exc:
+        if exc.name != "scipy":
+            raise
+        print(INSTALL_HINT, file=sys.stderr)
+        return 1
     ok, _ = run_acceptance(args.filter, args.report)
     return 0 if ok else 1
 

@@ -1,10 +1,11 @@
 """Noise-component time stretching by spectral morphing.
 
-The noise signal's log-magnitude spectrogram is linearly interpolated in
-time to the stretched frame count, then used to modulate the spectrogram of
-a freshly generated white-noise excitation of the output length. Because the
-excitation is a single time-domain signal, overlapping synthesis frames stay
-perfectly correlated and the result is free of frame-rate artifacts.
+A white-noise excitation of the output length is analysed with the noise's
+window and hop. Its frame m takes the noise's log-magnitude spectrogram at
+input frame position m/alpha, linearly interpolated between frames, and
+those magnitudes modulate its bins. Because the excitation is a single
+time-domain signal, overlapping synthesis frames stay perfectly correlated
+and the result is free of frame-rate artifacts.
 
 Two variants exist: 'multiply' scales the excitation bins by the target
 magnitudes (keeping their stochastic magnitude variation), while 'replace'
@@ -71,22 +72,20 @@ def log_magnitude(spec: Spectrogram, floor_db: float = -120.0) -> Spectrogram:
     return spec.copy_with(np.maximum(db, floor_db))
 
 
-def lerp_frames(logmag: Spectrogram, alpha: float) -> Spectrogram:
-    """Time-interpolate a spectrogram to round(alpha*M) frames, and to at
-    least one frame when M > 0, so a non-empty output always has a target.
-    The count comes from output_length, which raises ConfigurationError
-    when alpha*M exceeds MAX_OUTPUT_SAMPLES, before anything is allocated.
-
-    Output frame m reads from continuous input position m/alpha (clamped to
-    the valid range), blending the two neighboring frames per bin. alpha = 1
-    is the exact identity.
+def lerp_frames(logmag: Spectrogram, positions: np.ndarray) -> Spectrogram:
+    """One output frame per entry of positions: the input read at that
+    fractional frame position, clamped to [0, M - 1], blending the two
+    neighbouring frames per bin. An integer position reads its frame exactly.
+    Raises ConfigurationError for an empty spectrogram or a non-finite
+    position.
     """
-    check_alpha(alpha)
     m = logmag.n_frames
     if m == 0:
-        return logmag.copy_with(np.zeros((0, logmag.values.shape[1])))
-    m_out = max(1, output_length(m, alpha))
-    pos = np.clip(np.arange(m_out) / alpha, 0.0, m - 1)
+        raise ConfigurationError("cannot interpolate a spectrogram with no frames")
+    positions = np.asarray(positions, dtype=np.float64)
+    if not np.all(np.isfinite(positions)):
+        raise ConfigurationError("frame positions must be finite")
+    pos = np.clip(positions, 0.0, m - 1)
     lo = np.floor(pos).astype(int)
     hi = np.minimum(lo + 1, m - 1)
     frac = (pos - lo)[:, None]
@@ -134,13 +133,6 @@ def morph_replace(interp: Spectrogram, excitation_spec: Spectrogram) -> Spectrog
     )
 
 
-def _pad_target_frames(target: Spectrogram, n_frames: int, lead_frames: int) -> Spectrogram:
-    """Lay the target frames onto a longer frame grid, replicating the first
-    and last frames over the lead-in/lead-out region."""
-    idx = np.clip(np.arange(n_frames) - lead_frames, 0, target.n_frames - 1)
-    return target.copy_with(target.values[idx])
-
-
 def stretch_noise(
     noise: AudioBuffer,
     alpha: float,
@@ -150,9 +142,11 @@ def stretch_noise(
 ) -> AudioBuffer:
     """Full analysis/morph/synthesis chain for the noise component.
 
-    Output length is exactly round(alpha * len(noise)). The same window and
-    hop are used for analysis of the noise, analysis of the excitation, and
-    the final overlap-add synthesis.
+    Output length is exactly round(alpha * len(noise)). One window and hop
+    serve the noise analysis, the excitation analysis and the overlap-add
+    synthesis. Excitation frame m, counted from the output's first sample,
+    takes the noise's log magnitudes at input frame m/alpha, clamped to the
+    noise's frames, so the input's last frames reach the output's end.
     """
     if params is None:
         params = NoiseMorphParams()
@@ -164,9 +158,6 @@ def stretch_noise(
     if out_length == 0:
         return AudioBuffer(np.zeros(0), noise.sample_rate)
 
-    analysis = stft(noise, sp)
-    target = lerp_frames(log_magnitude(analysis, params.floor_db), alpha)
-
     # The excitation is synthesized on a frame grid padded by a full window
     # on each side: the retained region then has complete overlap coverage,
     # so the overlap-add normalization never divides by a vanishing window
@@ -174,16 +165,15 @@ def stretch_noise(
     lead_frames = -(-params.window_size // params.hop_size)
     pad = lead_frames * params.hop_size
     excitation = generate_excitation(out_length, seed, noise.sample_rate)
-    exc_padded = AudioBuffer(
-        np.pad(excitation.samples, (pad, pad)), noise.sample_rate
-    )
+    exc_padded = AudioBuffer(np.pad(excitation.samples, (pad, pad)), noise.sample_rate)
     # each signal is released once the next form of it exists, which lowers
     # the stage's peak memory
     del excitation
     exc_spec = stft(exc_padded, sp)
     del exc_padded
     exc_spec = exc_spec.copy_with(exc_spec.values / window_energy(sp))
-    target = _pad_target_frames(target, exc_spec.n_frames, lead_frames)
+    positions = (np.arange(exc_spec.n_frames) - lead_frames) / alpha
+    target = lerp_frames(log_magnitude(stft(noise, sp), params.floor_db), positions)
 
     morphed = (morph if variant == VARIANT_MULTIPLY else morph_replace)(target, exc_spec)
     out = istft(morphed).samples[pad : pad + out_length]

@@ -12,7 +12,7 @@ Modes:
 from __future__ import annotations
 
 import dataclasses
-import itertools
+import math
 from dataclasses import dataclass, field
 
 from .core import AudioBuffer, check_alpha, check_amplitude, check_seed, output_length
@@ -37,22 +37,13 @@ RATE_SCALED_FIELDS = {
 }
 
 
-def _even_5_smooth(n: int) -> bool:
-    if n < 2 or n % 2:
-        return False
-    for p in (2, 3, 5):
-        while n % p == 0:
-            n //= p
-    return n == 1
-
-
 def _fast_length(n: int) -> int:
-    """The even 5-smooth length 2^a * 3^b * 5^c (a >= 1) nearest n, the
-    shorter one on a tie: a length the FFT transforms fast."""
-    for distance in itertools.count():
-        for m in (n - distance, n + distance):
-            if _even_5_smooth(m):
-                return m
+    """The even 5-smooth length 2^a * 3^b * 5^c (a >= 1) nearest n >= 1, the
+    shorter one on a tie: a length the FFT transforms fast. A power of two
+    lies in [n, 2n], so the lengths up to 2n hold the answer."""
+    twos, threes, fives = ([p**k for k in range(int(math.log(2 * n, p)) + 2)] for p in (2, 3, 5))
+    lengths = [a * b * c for a in twos[1:] for b in threes for c in fives if a * b * c <= 2 * n]
+    return min(lengths, key=lambda m: (abs(m - n), m))
 
 
 @dataclass(frozen=True)

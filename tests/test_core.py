@@ -483,6 +483,13 @@ def test_audio_buffer_rejects_nonfinite():
         AudioBuffer(np.zeros(4), 0)
 
 
+@pytest.mark.parametrize("rate", [44100.5, 44100.0, True, "44100"])
+def test_audio_buffer_rate_is_a_positive_integer(rate):
+    with pytest.raises(ConfigurationError, match="sample_rate must be a positive integer"):
+        AudioBuffer(np.zeros(4), rate)
+    assert AudioBuffer(np.zeros(4), np.int64(44100)).duration == 4 / 44100
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     n=st.integers(min_value=1500, max_value=6000),

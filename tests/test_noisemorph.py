@@ -3,7 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stretchkit.core import AudioBuffer, Spectrogram, StftParams, stft, window_energy
+from stretchkit import noisemorph
+from stretchkit.core import AudioBuffer, Spectrogram, stft
 from stretchkit.errors import ConfigurationError
 from stretchkit.metrics import oracle_magnitude_spectrogram
 from stretchkit.noisemorph import (
@@ -52,32 +53,56 @@ def test_log_magnitude_floor_property(mags, phase, floor_db):
 
 def test_lerp_identity_at_alpha_one():
     s = spec(np.random.default_rng(0).random((7, 5)))
-    out = lerp_frames(s, 1.0)
+    out = lerp_frames(s, np.arange(7) / 1.0)
     assert np.array_equal(out.values, s.values)
 
 
 def test_lerp_two_frames_alpha_two():
     s = spec([[0.0], [10.0]])
-    out = lerp_frames(s, 2.0)
+    out = lerp_frames(s, np.arange(4) / 2.0)
     assert np.allclose(out.values[:, 0], [0.0, 5.0, 10.0, 10.0])
 
 
 def test_lerp_constant_any_alpha():
     s = spec(np.full((6, 3), 2.5))
-    for alpha in (1.5, 3.0, 7.0):
-        out = lerp_frames(s, alpha)
-        assert out.n_frames == round(alpha * 6)
+    for alpha in (0.3, 1.5, 3.0, 7.0):
+        positions = (np.arange(round(alpha * 6) + 4) - 2) / alpha
+        out = lerp_frames(s, positions)
+        assert out.n_frames == len(positions)
         assert np.allclose(out.values, 2.5)
 
 
 def test_lerp_empty():
-    s = spec(np.zeros((0, 4)))
-    assert lerp_frames(s, 2.0).n_frames == 0
+    with pytest.raises(ConfigurationError, match="no frames"):
+        lerp_frames(spec(np.zeros((0, 4))), np.arange(3) / 2.0)
 
 
-def test_lerp_frame_count_bounded_before_allocating():
-    with pytest.raises(ConfigurationError):
-        lerp_frames(Spectrogram(np.zeros((2, 3)), 4, 2, 44100), 1e12)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lerp_rejects_nonfinite_positions(bad):
+    with pytest.raises(ConfigurationError, match="frame positions must be finite"):
+        lerp_frames(spec(np.zeros((2, 3))), np.array([0.0, bad, 1.0]))
+
+
+def test_stretch_noise_tail_reads_last_input_frame(monkeypatch):
+    # 10 input frames at alpha 0.5: a target of round(0.5 * 10) = 5 frames
+    # would end at input frame (5 - 1) / 0.5 = 8, short of the last frame 9
+    params = NoiseMorphParams()
+    noise = AudioBuffer(np.random.default_rng(1).standard_normal(9 * 1024 + 2048), SR)
+    logmag = log_magnitude(stft(noise, params.stft_params()), params.floor_db).values
+    assert len(logmag) == 10
+    targets = []
+
+    def capture(interp, excitation_spec):
+        targets.append(interp.values)
+        return morph(interp, excitation_spec)
+
+    monkeypatch.setattr(noisemorph, "morph", capture)
+    stretch_noise(noise, 0.5, params, seed=0)
+    (target,) = targets
+    lead = -(-params.window_size // params.hop_size)
+    tail = target[(np.arange(len(target)) - lead) / 0.5 >= len(logmag) - 1]
+    assert len(tail) >= 1
+    assert np.array_equal(tail, np.broadcast_to(logmag[-1], tail.shape))
 
 
 def test_excitation_deterministic():

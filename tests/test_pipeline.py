@@ -1,13 +1,14 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
 
-from stretchkit.core import MAX_AMPLITUDE, MAX_WINDOW, AudioBuffer, Spectrogram
+from stretchkit.core import MAX_AMPLITUDE, MAX_WINDOW, AudioBuffer
 from stretchkit.errors import ConfigurationError
 from stretchkit.metrics import dominant_frequency, octave_band_levels, onset_positions
-from stretchkit.noisemorph import NoiseMorphParams, lerp_frames, stretch_noise
+from stretchkit.noisemorph import NoiseMorphParams, stretch_noise
 from stretchkit.pipeline import (
     MODES,
     RATE_SCALED_FIELDS,
@@ -84,7 +85,6 @@ ALPHA_USERS = {
     "stretch_sines": lambda a: stretch_sines(_BUF, a),
     "stretch_plain": lambda a: stretch_plain(_BUF, a),
     "stretch_noise": lambda a: stretch_noise(_BUF, a),
-    "lerp_frames": lambda a: lerp_frames(Spectrogram(np.zeros((2, 3)), 4, 2, SR), a),
     "reposition_events": lambda a: reposition_events([], a, 10),
 }
 
@@ -208,8 +208,13 @@ def test_fast_length():
     # ties go to the shorter length: 14 lies between 12 and 16, 558 between 540 and 576
     assert [_fast_length(n) for n in (1, 2, 3, 14, 558)] == [2, 2, 2, 12, 540]
     assert [_fast_length(n) for n in (2230, 4458, 8916)] == [2250, 4500, 9000]
-    for m in (*smooth, 2**16, 36000, 2 * 3**9 * 5**4):
+    for m in (*smooth, 2**16, 36000, 2 * 3**9 * 5**4, 2**11 * 5**8, 2**31):
         assert _fast_length(m) == m
+    # large lengths, up to the STN window at a rate of 2**32 - 1 Hz: nothing lies nearer
+    for n in (797161501, 10**9 + 7, 123456789):
+        m = _fast_length(n)
+        assert _even_5_smooth(m)
+        assert not any(_even_5_smooth(k) for k in range(n - abs(m - n), n + abs(m - n)) if k != m)
 
 
 SCALED_RATES = [8000, 11025, 16000, 22050, 32000, 48000, 88200, 96000, 192000]
@@ -250,6 +255,15 @@ def test_for_rate_rejects_unusable_rates(rate, section):
     with pytest.raises(ConfigurationError, match=f"sample rate {rate} Hz: {section}:"):
         StretchConfig().for_rate(rate)
     assert StretchConfig().for_rate(768000).stn.long_window == 144000 <= MAX_WINDOW
+
+
+def test_for_rate_rejects_the_largest_rate_without_a_search():
+    # the scaled STN window is about 8e8 samples; a step-by-step search for
+    # the nearest fast length took about 0.6 s there
+    start = time.perf_counter()
+    with pytest.raises(ConfigurationError, match="sample rate 4294967295 Hz: stn:"):
+        StretchConfig().for_rate(2**32 - 1)
+    assert time.perf_counter() - start < 0.1
 
 
 ORACLE_PARTIALS = (440.0, 660.0)  # two_tone's defaults

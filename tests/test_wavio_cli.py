@@ -193,6 +193,22 @@ def test_cli_run_imports_no_scipy(tmp_path):
     assert len(list((tmp_path / "stems").glob("*.wav"))) == 6
 
 
+def test_without_scipy_stretch_runs_and_harness_exits_1(tmp_path):
+    write_input(tmp_path, duration=0.3)
+    src = str(Path(pipeline.__file__).resolve().parent.parent)
+    code = (
+        "import sys; sys.modules['scipy'] = None; d = sys.argv[1] + '/'; "
+        "from stretchkit import cli, harness_cli; "
+        "print(cli.main([d + 'in.wav', d + 'out.wav', '--alpha', '2']), "
+        "harness_cli.main(['run-acceptance']))"
+    )
+    result = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert result.stdout.splitlines()[-1] == "0 1", result.stderr
+    assert "pip install 'stretchkit[harness]'" in result.stderr
+    assert read_wav(tmp_path / "out.wav").samples.size > 0
+
+
 def test_write_rejects_bad_depth(tmp_path):
     with pytest.raises(AudioIOError):
         write_wav(make_buf(10), tmp_path / "x.wav", "8")
