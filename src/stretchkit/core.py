@@ -2,10 +2,11 @@
 
 All analysis uses one-sided spectra of real signals (K = window/2 + 1 bins)
 and 64-bit floats internally. One overlap-add, `overlap_add`, sums
-frames for the ISTFT, its window-squared normalization and the vocoder's,
-which adds block after block into one output buffer.
-The ISTFT's per-sample normalization reconstructs the input exactly wherever
-at least one nonzero window value covers a sample.
+frames for the ISTFT, its window-squared normalization, the vocoder's and
+the noise morph's, which add block after block of at most FRAME_BLOCK values
+(`frame_blocks`) into one output buffer. One normalization,
+`divide_window_sum`, serves the ISTFT and the noise morph: it reconstructs
+the input exactly wherever at least one nonzero window value covers a sample.
 
 One thread rule serves the transforms and the median (`_parallel`): work on
 independent rows is dealt out to at most one task per CPU in the process's
@@ -36,6 +37,9 @@ TIME_AXIS = "time"
 FREQ_AXIS = "frequency"
 
 _MEDIAN_BLOCK = 1 << 16  # values per sorted median block (512 KB)
+# values per block of frames that the vocoder and the noise morph transform at
+# once (32 frames at 4096), so their memory does not grow with the output
+FRAME_BLOCK = 1 << 17
 # frame values from which a transform runs on worker threads: a smaller one
 # takes a few milliseconds, and starting and joining a thread (up to about
 # 1 ms) would eat much of what the thread saves
@@ -235,12 +239,27 @@ def istft(spec: Spectrogram) -> AudioBuffer:
         frames[rows] *= win
 
     _parallel([partial(transform, rows) for rows in _row_slices(spec.n_frames, w)])
-    out = overlap_add(frames, h)
-    wsum = overlap_add(np.broadcast_to(win**2, frames.shape), h)
-    covered = wsum > 0.0
-    out[covered] /= wsum[covered]
-    out[~covered] = 0.0
+    out = divide_window_sum(overlap_add(frames, h), spec.n_frames, win, h)
     return AudioBuffer(out, spec.sample_rate)
+
+
+def divide_window_sum(out: np.ndarray, n_frames: int, win: np.ndarray, hop: int) -> np.ndarray:
+    """Normalize `out`, the overlap-add of n_frames frames windowed by win and
+    laid hop apart, in place: divide each sample by the overlap-added squared
+    window where that sum is positive, and zero the samples it leaves
+    uncovered. Returns out."""
+    wsum = overlap_add(np.broadcast_to(win**2, (n_frames, len(win))), hop)
+    covered = wsum > 0.0
+    np.divide(out, wsum, out=out, where=covered)
+    np.copyto(out, 0.0, where=~covered)
+    return out
+
+
+def frame_blocks(n_frames: int, width: int) -> list:
+    """[0, n_frames) in consecutive (start, stop) blocks of at most
+    FRAME_BLOCK values of that width, at least one frame each."""
+    step = max(1, FRAME_BLOCK // width)
+    return [(b0, min(b0 + step, n_frames)) for b0 in range(0, n_frames, step)]
 
 
 def median_filter_axis(mag: Spectrogram, axis: str, length: int) -> Spectrogram:

@@ -7,6 +7,12 @@ those magnitudes modulate its bins. Because the excitation is a single
 time-domain signal, overlapping synthesis frames stay perfectly correlated
 and the result is free of frame-rate artifacts.
 
+The excitation is analysed, morphed and resynthesised in blocks of at most
+core.FRAME_BLOCK frame values (a constant, not a setting), which are added
+in frame order into one output buffer, so no grid the size of the output's
+spectrogram exists. Every element goes through the same operations in any
+block, so the output is bit-identical for any block size.
+
 Two variants exist: 'multiply' scales the excitation bins by the target
 magnitudes (keeping their stochastic magnitude variation), while 'replace'
 discards the excitation magnitudes and keeps only their phases.
@@ -26,11 +32,17 @@ from .core import (
     StftParams,
     check_alpha,
     check_seed,
-    istft,
+    divide_window_sum,
+    frame_blocks,
+    n_frames_for,
     output_length,
+    overlap_add,
     stft,
     window_energy,
 )
+# Only the benchmark tracer (perfbench/spans.py) needs the next name here: it patches
+# it in this module. ROADMAP items 1 and 2 delete it with that patching.
+from .core import istft
 from .errors import ConfigurationError
 
 VARIANT_MULTIPLY = "multiply"
@@ -147,6 +159,11 @@ def stretch_noise(
     synthesis. Excitation frame m, counted from the output's first sample,
     takes the noise's log magnitudes at input frame m/alpha, clamped to the
     noise's frames, so the input's last frames reach the output's end.
+
+    The noise's log-magnitude grid is input-sized and computed whole. The
+    excitation's frames are transformed, morphed, inverted and overlap-added
+    in blocks of at most core.FRAME_BLOCK values, and the sum is divided once
+    by the window sum, so the output's bits do not depend on the block size.
     """
     if params is None:
         params = NoiseMorphParams()
@@ -162,19 +179,25 @@ def stretch_noise(
     # on each side: the retained region then has complete overlap coverage,
     # so the overlap-add normalization never divides by a vanishing window
     # sum (morphed frames are not time-tapered the way analysis frames are).
-    lead_frames = -(-params.window_size // params.hop_size)
-    pad = lead_frames * params.hop_size
-    excitation = generate_excitation(out_length, seed, noise.sample_rate)
-    exc_padded = AudioBuffer(np.pad(excitation.samples, (pad, pad)), noise.sample_rate)
-    # each signal is released once the next form of it exists, which lowers
-    # the stage's peak memory
-    del excitation
-    exc_spec = stft(exc_padded, sp)
-    del exc_padded
-    exc_spec = exc_spec.copy_with(exc_spec.values / window_energy(sp))
-    positions = (np.arange(exc_spec.n_frames) - lead_frames) / alpha
-    target = lerp_frames(log_magnitude(stft(noise, sp), params.floor_db), positions)
+    w, h, rate = sp.window_size, sp.hop_size, noise.sample_rate
+    lead_frames = -(-w // h)
+    pad = lead_frames * h
+    n_frames = n_frames_for(out_length + 2 * pad, sp)
+    logmag = log_magnitude(stft(noise, sp), params.floor_db)
+    # the padded excitation, zero-padded to whole frames as stft pads it
+    excitation = np.zeros((n_frames - 1) * h + w)
+    excitation[pad : pad + out_length] = generate_excitation(out_length, seed, rate).samples
+    frames = np.lib.stride_tricks.sliding_window_view(excitation, w)[::h]
+    positions = (np.arange(n_frames) - lead_frames) / alpha
+    win, energy = sp.window(), window_energy(sp)
+    shape = morph if variant == VARIANT_MULTIPLY else morph_replace
 
-    morphed = (morph if variant == VARIANT_MULTIPLY else morph_replace)(target, exc_spec)
-    out = istft(morphed).samples[pad : pad + out_length]
-    return AudioBuffer(out, noise.sample_rate)
+    out = np.zeros(len(excitation))
+    for b0, b1 in frame_blocks(n_frames, w):
+        exc_spec = Spectrogram(np.fft.rfft(frames[b0:b1] * win, axis=1) / energy, w, h, rate)
+        morphed = shape(lerp_frames(logmag, positions[b0:b1]), exc_spec)
+        overlap_add(np.fft.irfft(morphed.values, n=w, axis=1) * win, h,
+                    out=out[b0 * h : (b1 - 1) * h + w])
+    del frames, excitation  # released before the window sum, which lowers the peak
+    divide_window_sum(out, n_frames, win, h)
+    return AudioBuffer(out[pad : pad + out_length], rate)

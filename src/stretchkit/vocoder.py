@@ -9,8 +9,8 @@ with the peak, preserving vertical phase coherence: the analysis spectrum is
 turned by one rotation per peak region, so phases are taken only at peak
 bins. Without locking every bin propagates independently (the plain vocoder
 used as quality anchor). Frames are transformed, synthesized and
-overlap-added in blocks of at most _FRAME_BLOCK values, a constant, not a
-setting, then divided by the overlap-added squared window, clamped below at
+overlap-added in blocks of at most core.FRAME_BLOCK values, a constant, not
+a setting, then divided by the overlap-added squared window, clamped below at
 its lowest full-overlap value (for short outputs, its median where lower).
 """
 
@@ -20,10 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AudioBuffer, StftParams, check_alpha, n_frames_for, output_length, overlap_add
+from .core import (
+    AudioBuffer,
+    StftParams,
+    check_alpha,
+    frame_blocks,
+    n_frames_for,
+    output_length,
+    overlap_add,
+)
 from .errors import ConfigurationError
-
-_FRAME_BLOCK = 2**17  # values per block of analysis frames (32 frames at 4096)
 
 
 @dataclass(frozen=True)
@@ -115,11 +121,9 @@ def _pv_stretch(signal: AudioBuffer, alpha: float, pv: PvParams | None,
     frames = np.lib.stride_tricks.sliding_window_view(xp, window_size)
 
     out = np.zeros((n_syn - 1) * synth_hop + window_size)
-    block = max(1, _FRAME_BLOCK // window_size)
     step = _locked_block if locked else _plain_block
     state = None
-    for b0 in range(0, n_syn, block):
-        b1 = min(b0 + block, n_syn)
+    for b0, b1 in frame_blocks(n_syn, window_size):
         spec = np.fft.rfft(frames[positions[b0:b1]] * win, axis=1)
         synth, state = step(spec, dts[b0:b1], omega, synth_hop, state)
         overlap_add(np.fft.irfft(synth, n=window_size, axis=1) * win, synth_hop,

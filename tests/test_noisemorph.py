@@ -1,10 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stretchkit import noisemorph
-from stretchkit.core import AudioBuffer, Spectrogram, stft
+from stretchkit import core, noisemorph
+from stretchkit.core import (
+    AudioBuffer,
+    Spectrogram,
+    istft,
+    n_frames_for,
+    stft,
+    window_energy,
+)
 from stretchkit.errors import ConfigurationError
 from stretchkit.metrics import oracle_magnitude_spectrogram
 from stretchkit.noisemorph import (
@@ -14,6 +23,8 @@ from stretchkit.noisemorph import (
     lerp_frames,
     log_magnitude,
     morph,
+    VARIANT_MULTIPLY,
+    VARIANT_REPLACE,
     morph_replace,
     stretch_noise,
 )
@@ -238,3 +249,80 @@ def test_no_hop_rate_modulation():
     k = round(SR / 1024 / (SR / hop) * len(env))
     rel_db = 20 * np.log10(spectrum[max(1, k - 1) : k + 2].max() / spectrum[0])
     assert rel_db <= -40.0
+
+
+def whole_grid_noise(noise, alpha, params, variant, seed):
+    """stretch_noise from whole grids: the excitation's full STFT, one
+    interpolation, one morph and one istft."""
+    sp = params.stft_params()
+    lead = -(-sp.window_size // sp.hop_size)
+    pad = lead * sp.hop_size
+    n = round(alpha * len(noise))
+    excitation = np.pad(generate_excitation(n, seed, noise.sample_rate).samples, (pad, pad))
+    exc_spec = stft(AudioBuffer(excitation, noise.sample_rate), sp)
+    exc_spec = exc_spec.copy_with(exc_spec.values / window_energy(sp))
+    positions = (np.arange(exc_spec.n_frames) - lead) / alpha
+    target = lerp_frames(log_magnitude(stft(noise, sp), params.floor_db), positions)
+    shape = morph if variant == VARIANT_MULTIPLY else morph_replace
+    return istft(shape(target, exc_spec)).samples[pad : pad + n]
+
+
+SMALL_NM = NoiseMorphParams(window_size=256, hop_size=64)
+NM_BLOCK = 4  # frames per block while FRAME_BLOCK is patched to 4 windows
+
+
+def excitation_frames(length, alpha, params):
+    sp = params.stft_params()
+    pad = -(-sp.window_size // sp.hop_size) * sp.hop_size
+    return n_frames_for(round(alpha * length) + 2 * pad, sp)
+
+
+# what each case below covers, checked before it runs
+NM_CASES = {
+    "mid_block": lambda alpha, n: excitation_frames(n, alpha, SMALL_NM) % NM_BLOCK != 0,
+    "block_end": lambda alpha, n: excitation_frames(n, alpha, SMALL_NM) % NM_BLOCK == 0,
+    "one_sample_output": lambda alpha, n: round(alpha * n) == 1,
+    "one_frame_input": lambda alpha, n: n <= SMALL_NM.window_size,
+}
+
+
+@pytest.mark.parametrize("variant", [VARIANT_MULTIPLY, VARIANT_REPLACE])
+@pytest.mark.parametrize("alpha, length, case", [
+    (0.25, 3000, "mid_block"),
+    (1.0, 1000, "mid_block"),
+    (2.5, 700, "mid_block"),
+    (8.0, 300, "mid_block"),
+    (2.0, 720, "block_end"),
+    (0.25, 4, "one_sample_output"),
+    (3.0, 100, "one_frame_input"),
+])
+def test_blocked_stretch_noise_matches_whole_grid(monkeypatch, variant, alpha, length, case):
+    monkeypatch.setattr(core, "FRAME_BLOCK", NM_BLOCK * SMALL_NM.window_size)
+    assert excitation_frames(length, alpha, SMALL_NM) > NM_BLOCK
+    assert NM_CASES[case](alpha, length)
+    noise = shaped_noise(-3.0, length / SR, seed=length)
+    assert len(noise) == length
+    out = stretch_noise(noise, alpha, SMALL_NM, variant, seed=5).samples
+    assert out.tobytes() == whole_grid_noise(noise, alpha, SMALL_NM, variant, 5).tobytes()
+
+
+def test_default_blocks_match_whole_grid():
+    # 1 s at alpha 2: 90 excitation frames, over one full block of 64 at the defaults
+    noise = shaped_noise(-3.0, 1.0, seed=2)
+    params = NoiseMorphParams()
+    assert excitation_frames(len(noise), 2.0, params) > core.FRAME_BLOCK // params.window_size
+    out = stretch_noise(noise, 2.0, params, seed=4).samples
+    assert out.tobytes() == whole_grid_noise(noise, 2.0, params, VARIANT_MULTIPLY, 4).tobytes()
+
+
+def test_stretch_noise_memory_is_bounded():
+    # the excitation's spectrogram never exists whole: at alpha 16 the whole
+    # grids took about 89 bytes per output sample
+    noise = shaped_noise(-3.0, 2.0, seed=2)
+    tracemalloc.start()
+    try:
+        out = stretch_noise(noise, 16.0, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * len(out)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stretchkit import vocoder
+from stretchkit import core, vocoder
 from stretchkit.core import (
     MAX_WINDOW,
     AudioBuffer,
@@ -250,7 +250,7 @@ def assert_near_reference(y, x, alpha, params):
 
 
 SMALL_PV = PvParams(window_size=512, synthesis_hop=128)
-SMALL_BLOCK = 4  # frames per block while _FRAME_BLOCK is patched to 4 windows
+SMALL_BLOCK = 4  # frames per block while FRAME_BLOCK is patched to 4 windows
 
 
 @pytest.mark.parametrize("alpha", [0.01, 0.5, 2.0, 4.0])
@@ -258,7 +258,7 @@ SMALL_BLOCK = 4  # frames per block while _FRAME_BLOCK is patched to 4 windows
                                     2 * SMALL_BLOCK + 1])
 def test_blocked_vocoder_matches_frame_loop(monkeypatch, frames, alpha):
     w, hop = SMALL_PV.window_size, SMALL_PV.synthesis_hop
-    monkeypatch.setattr(vocoder, "_FRAME_BLOCK", SMALL_BLOCK * w)
+    monkeypatch.setattr(core, "FRAME_BLOCK", SMALL_BLOCK * w)
     n = round((w + (frames - 1) * hop) / alpha)
     assert n_frames_for(output_length(n, alpha), StftParams(w, hop)) == frames
     x = AudioBuffer(np.random.default_rng(frames).standard_normal(n), SR)
