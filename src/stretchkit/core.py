@@ -8,17 +8,21 @@ the noise morph's, which add block after block of at most FRAME_BLOCK values
 `divide_window_sum`, serves the ISTFT and the noise morph: it reconstructs
 the input exactly wherever at least one nonzero window value covers a sample.
 
-One thread rule serves the transforms and the median (`_parallel`): work on
-independent rows is dealt out to at most one task per CPU in the process's
-affinity, and each task but the first runs on a worker thread started for
-the call and joined before it returns. The STFT's window multiply and rfft
-and the ISTFT's irfft and window multiply run so on consecutive slices of
-frame rows once a transform reaches _THREADED_MIN values (smaller ones run
-inline); the overlap-add stays sequential, in frame order. The median sorts
-each full window on its own in bounded blocks on the worker threads while
-the calling thread sorts the truncated edge windows one position at a time.
-Every row is computed on its own, so all outputs are bit-identical for any
-thread count, and no setting changes the count.
+One thread rule serves the transforms, the median and the frame blocks
+(`dealer`, and `_parallel` on it): work on independent rows or blocks is
+dealt out to the calling thread and to worker threads, at most one per CPU
+in the process's affinity, started for the call and joined before it
+returns. The STFT's window multiply and rfft (in sub-blocks of at most
+FRAME_BLOCK values) and the ISTFT's irfft and window multiply run so on
+consecutive slices of frame rows once a transform reaches _THREADED_MIN
+values (smaller ones run inline). The median sorts each full window on its
+own in bounded blocks on the worker threads while the calling thread sorts
+the truncated edge windows one position at a time. The vocoder and the
+noise morph deal their frame blocks in turn to the calling thread and the
+workers. Every overlap-add and every step that carries state from one frame
+to the next stays on the calling thread, in frame order, and every row is
+computed on its own, so all outputs are bit-identical for any thread count,
+and no setting changes the count.
 """
 
 from __future__ import annotations
@@ -26,8 +30,10 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -38,7 +44,8 @@ FREQ_AXIS = "frequency"
 
 _MEDIAN_BLOCK = 1 << 16  # values per sorted median block (512 KB)
 # values per block of frames that the vocoder and the noise morph transform at
-# once (32 frames at 4096), so their memory does not grow with the output
+# once, and that an STFT task windows at once (32 frames at 4096), so their
+# memory does not grow with the output
 FRAME_BLOCK = 1 << 17
 # frame values from which a transform runs on worker threads: a smaller one
 # takes a few milliseconds, and starting and joining a thread (up to about
@@ -191,12 +198,15 @@ def stft(signal: AudioBuffer, params: StftParams) -> Spectrogram:
     xp[: len(x)] = x
     frames = np.lib.stride_tricks.sliding_window_view(xp, w)[::h]
     win = params.window()
+    block = max(1, FRAME_BLOCK // w)
 
     def transform(rows, windowed):
-        np.multiply(frames[rows], win, out=windowed)
-        np.fft.rfft(windowed, axis=1, out=values[rows])
+        for r0 in range(rows.start, rows.stop, block):
+            r1 = min(r0 + block, rows.stop)
+            np.multiply(frames[r0:r1], win, out=windowed[: r1 - r0])
+            np.fft.rfft(windowed[: r1 - r0], axis=1, out=values[r0:r1])
 
-    _parallel([partial(transform, rows, np.empty((rows.stop - rows.start, w)))
+    _parallel([partial(transform, rows, np.empty((min(block, rows.stop - rows.start), w)))
                for rows in _row_slices(m, w)])
     return Spectrogram(values, w, h, signal.sample_rate)
 
@@ -352,14 +362,44 @@ def _parallel(tasks: list) -> None:
     calling thread, each other one on a worker thread started for this call
     and joined before it returns. Re-raises the first error. Tasks must write
     disjoint outputs; buffers they need come from the caller."""
-    if len(tasks) == 1:
-        tasks[0]()
+    with dealer(len(tasks) - 1) as deal:
+        for _ in deal(lambda task: task(), tasks):
+            pass
+
+
+@contextmanager
+def dealer(workers: int | None = None):
+    """A pool of worker threads for one call, joined when the block exits,
+    also when its body raises (items not yet started are then dropped).
+    There are `workers` of them, by default one per CPU beyond the calling
+    thread's (_cpu_count() - 1); threads start only when an item is dealt.
+
+    Yields deal(fn, items), a generator of fn(item) for each item, in item
+    order. Items are dealt in rounds to the calling thread and to each
+    worker in turn: a round submits the workers' items before the calling
+    thread computes its own. With no workers deal is map. fn must not touch
+    what other items write; what needs the previous item's result belongs
+    to the consumer, which runs on the calling thread.
+    """
+    if workers is None:
+        workers = _cpu_count() - 1
+    if workers < 1:
+        yield map
         return
-    with ThreadPoolExecutor(len(tasks) - 1, thread_name_prefix="stretchkit-worker") as pool:
-        futures = [pool.submit(task) for task in tasks[1:]]
-        tasks[0]()
-        for future in futures:
-            future.result()
+    pool = ThreadPoolExecutor(workers, thread_name_prefix="stretchkit-worker")
+
+    def deal(fn, items):
+        items = iter(items)
+        for item in items:
+            futures = [pool.submit(fn, other) for other in islice(items, workers)]
+            yield fn(item)
+            for future in futures:
+                yield future.result()
+
+    try:
+        yield deal
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _cpu_count() -> int:

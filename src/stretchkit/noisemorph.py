@@ -10,8 +10,11 @@ and the result is free of frame-rate artifacts.
 The excitation is analysed, morphed and resynthesised in blocks of at most
 core.FRAME_BLOCK frame values (a constant, not a setting), which are added
 in frame order into one output buffer, so no grid the size of the output's
-spectrogram exists. Every element goes through the same operations in any
-block, so the output is bit-identical for any block size.
+spectrogram exists. The blocks are dealt by core.dealer to the calling
+thread and its workers; the excitation draw, the overlap-add and the window
+sum stay on the calling thread. Every element goes through the same
+operations in any block on any thread, so the output is bit-identical for
+any block size and thread count.
 
 Two variants exist: 'multiply' scales the excitation bins by the target
 magnitudes (keeping their stochastic magnitude variation), while 'replace'
@@ -32,6 +35,7 @@ from .core import (
     StftParams,
     check_alpha,
     check_seed,
+    dealer,
     divide_window_sum,
     frame_blocks,
     n_frames_for,
@@ -193,11 +197,17 @@ def stretch_noise(
     shape = morph if variant == VARIANT_MULTIPLY else morph_replace
 
     out = np.zeros(len(excitation))
-    for b0, b1 in frame_blocks(n_frames, w):
+    blocks = frame_blocks(n_frames, w)
+
+    def synthesize(block):  # on a dealt thread
+        b0, b1 = block
         exc_spec = Spectrogram(np.fft.rfft(frames[b0:b1] * win, axis=1) / energy, w, h, rate)
         morphed = shape(lerp_frames(logmag, positions[b0:b1]), exc_spec)
-        overlap_add(np.fft.irfft(morphed.values, n=w, axis=1) * win, h,
-                    out=out[b0 * h : (b1 - 1) * h + w])
+        return np.fft.irfft(morphed.values, n=w, axis=1) * win
+
+    with dealer() as deal:
+        for (b0, b1), synth in zip(blocks, deal(synthesize, blocks)):
+            overlap_add(synth, h, out=out[b0 * h : (b1 - 1) * h + w])
     del frames, excitation  # released before the window sum, which lowers the peak
     divide_window_sum(out, n_frames, win, h)
     return AudioBuffer(out[pad : pad + out_length], rate)

@@ -12,6 +12,15 @@ used as quality anchor). Frames are transformed, synthesized and
 overlap-added in blocks of at most core.FRAME_BLOCK values, a constant, not
 a setting, then divided by the overlap-added squared window, clamped below at
 its lowest full-overlap value (for short outputs, its median where lower).
+
+Each block passes three stages. Its analysis (rfft, magnitudes, and for the
+plain vocoder the phases and every frame's phase advance but the first's)
+and its synthesis (for the plain vocoder the complex exponential, then irfft
+and window) run on the threads core.dealer deals blocks to. The chain between
+them carries the phase from frame to frame: the locked vocoder's per-frame
+peak picking and rotation, or the plain vocoder's first advance and running
+sum. It and the overlap-add run on the calling thread in block order, so the
+output is bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from .core import (
     AudioBuffer,
     StftParams,
     check_alpha,
+    dealer,
     frame_blocks,
     n_frames_for,
     output_length,
@@ -121,13 +131,30 @@ def _pv_stretch(signal: AudioBuffer, alpha: float, pv: PvParams | None,
     frames = np.lib.stride_tricks.sliding_window_view(xp, window_size)
 
     out = np.zeros((n_syn - 1) * synth_hop + window_size)
-    step = _locked_block if locked else _plain_block
-    state = None
-    for b0, b1 in frame_blocks(n_syn, window_size):
+    blocks = frame_blocks(n_syn, window_size)
+
+    def analyse(block):  # on a dealt thread
+        b0, b1 = block
         spec = np.fft.rfft(frames[positions[b0:b1]] * win, axis=1)
-        synth, state = step(spec, dts[b0:b1], omega, synth_hop, state)
-        overlap_add(np.fft.irfft(synth, n=window_size, axis=1) * win, synth_hop,
-                    out=out[b0 * synth_hop : (b1 - 1) * synth_hop + window_size])
+        if locked:
+            return spec, np.abs(spec)
+        return _plain_analyse(spec, dts[b0:b1], omega, synth_hop)
+
+    def chain(analysed):  # on the calling thread, in block order
+        state = None
+        for (b0, b1), parts in zip(blocks, analysed):
+            synth, state = (_locked_block if locked else _plain_chain)(
+                *parts, dts[b0:b1], omega, synth_hop, state)
+            yield synth
+
+    def synthesize(synth):  # on a dealt thread
+        spectrum = synth if locked else _polar(*synth)
+        return np.fft.irfft(spectrum, n=window_size, axis=1) * win
+
+    with dealer() as deal:
+        for (b0, b1), synth in zip(blocks, deal(synthesize, chain(deal(analyse, blocks)))):
+            overlap_add(synth, synth_hop,
+                        out=out[b0 * synth_hop : (b1 - 1) * synth_hop + window_size])
 
     wsum = overlap_add(np.broadcast_to(win**2, (n_syn, window_size)), synth_hop)
     out /= np.maximum(wsum, _clamp_level(wsum, win, synth_hop))
@@ -143,26 +170,40 @@ def _clamp_level(wsum, win, synth_hop):
     return min(np.median(wsum[: (3 * k - 1) * synth_hop + w]), full.min())
 
 
-def _plain_block(spec, dts, omega, synth_hop, state):
-    """Synthesis spectra of a block of frames, every bin propagated on its own.
+def _plain_analyse(spec, dts, omega, synth_hop):
+    """(magnitudes, phases, steps) of a block of frames for the plain rule,
+    every bin propagated on its own: step i is frame i's phase advance from
+    frame i - 1, hop times their instantaneous frequency. Row 0's step needs
+    the frame before the block, so _plain_chain writes it."""
+    phase = np.angle(spec)
+    steps = np.empty_like(phase)
+    steps[1:] = synth_hop * _inst_freq(phase[1:], phase[:-1], omega, dts[1:, None])
+    return np.abs(spec), phase, steps
+
+
+def _plain_chain(mag, phase, steps, dts, omega, synth_hop, state):
+    """Synthesis phases of a block analysed by _plain_analyse, as
+    ((magnitudes, phases), state after the block).
 
     state is (analysis phase, synthesis phase) of the frame before the block,
     None before the first frame, which keeps its analysis phase.
     """
-    phase = np.angle(spec)
-    prev_phase, psi = (phase[0], None) if state is None else state
-    prev = np.concatenate((prev_phase[None], phase[:-1]))
-    steps = synth_hop * _inst_freq(phase, prev, omega, dts[:, None])
-    if psi is None:
+    if state is None:
         steps[0] = phase[0]
     else:
-        steps[0] += psi
+        prev_phase, psi = state
+        steps[0] = synth_hop * _inst_freq(phase[0], prev_phase, omega, dts[0]) + psi
     psi = np.cumsum(steps, axis=0)  # sequential sums: each frame adds to the last
-    return np.abs(spec) * np.exp(1j * psi), (phase[-1], psi[-1])
+    return (mag, psi), (phase[-1], psi[-1])
 
 
-def _locked_block(spec, dts, omega, synth_hop, state):
-    """Synthesis spectra of a block of frames with identity phase locking.
+def _polar(mag, psi):
+    return mag * np.exp(1j * psi)
+
+
+def _locked_block(spec, mag, dts, omega, synth_hop, state):
+    """Synthesis spectra of a block of frames (spectra and their magnitudes)
+    with identity phase locking.
 
     A frame with peaks is its analysis spectrum turned by one rotation per
     peak region, rotation = psi_prev + hop * inst - phase at the peak bin,
@@ -170,22 +211,21 @@ def _locked_block(spec, dts, omega, synth_hop, state):
     spectrum, its per-bin rotation, its synthesis phase): the phase is given
     in full after a frame without peaks (or the first frame), and is None when
     it is the spectrum's phase plus the rotation. A frame without peaks is a
-    one-frame _plain_block: every bin propagates on its own.
+    one-frame block of the plain rule: every bin propagates on its own.
     """
-    mag = np.abs(spec)
     synth = np.empty_like(spec)
     first = state is None  # the first frame keeps its analysis phase
     prev, rot, psi = (spec[0], None, np.angle(spec[0])) if first else state
     if first:
-        synth[0] = mag[0] * np.exp(1j * psi)
+        synth[0] = _polar(mag[0], psi)
     for i in range(int(first), len(spec)):
         regions = find_peaks(mag[i])
         if len(regions) == 0:
             prev_phase = np.angle(prev)
             plain = (prev_phase, prev_phase + rot if psi is None else psi)
-            synth[i : i + 1], (_, psi) = _plain_block(
-                spec[i : i + 1], dts[i : i + 1], omega, synth_hop, plain
-            )
+            frame = _plain_analyse(spec[i : i + 1], dts[i : i + 1], omega, synth_hop)
+            polar, (_, psi) = _plain_chain(*frame, dts[i : i + 1], omega, synth_hop, plain)
+            synth[i : i + 1] = _polar(*polar)
         else:
             peaks, starts, ends = regions.T
             phase, prev_phase = np.angle(spec[i, peaks]), np.angle(prev[peaks])

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,8 @@ from stretchkit.core import (
     window_energy,
 )
 from stretchkit.errors import ConfigurationError
+from stretchkit.pipeline import StretchConfig, stretch
+from stretchkit.signals import gen_signal
 
 SR = 44100
 
@@ -370,6 +373,14 @@ def transform_digest():
     return hashlib.sha256(spec.values.tobytes() + istft(spec).samples.tobytes()).hexdigest()
 
 
+def block_pipeline_digest():
+    """sha256 of 10 s an and nd outputs at alpha 4: the vocoder's and the
+    noise morph's frame blocks, dealt between threads when there are CPUs."""
+    x = gen_signal("click_plus_hiss", 10.0)
+    outs = [stretch(x, StretchConfig(alpha=4.0, mode=mode))[0] for mode in ("an", "nd")]
+    return hashlib.sha256(b"".join(out.samples.tobytes() for out in outs)).hexdigest()
+
+
 def one_cpu_stdout(expr):
     """Words printed by a child process pinned to one CPU: its CPU count and
     expr, evaluated after `import test_core`."""
@@ -396,6 +407,28 @@ def test_median_filter_one_cpu_subprocess_same_bytes():
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
 def test_transforms_one_cpu_subprocess_same_bytes():
     assert one_cpu_stdout("test_core.transform_digest()") == ["1", transform_digest()]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
+def test_block_pipeline_one_cpu_subprocess_same_bytes():
+    assert one_cpu_stdout("test_core.block_pipeline_digest()") == ["1", block_pipeline_digest()]
+
+
+@pytest.mark.parametrize("window,hop", [(2048, 1024), (4096, 1024)])
+def test_stft_peak_is_spectrum_plus_padded_input(monkeypatch, window, hop):
+    """Each task windows its rows in sub-blocks of at most FRAME_BLOCK values
+    (1 MiB), not in one copy the size of the spectrogram's real part; the
+    4096 window reaches _THREADED_MIN and runs on two tasks."""
+    monkeypatch.setattr(core, "_cpu_count", lambda: 2)
+    x = white(441000)
+    tracemalloc.start()
+    try:
+        spec = stft(x, StftParams(window, hop))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    padded = ((spec.n_frames - 1) * hop + window) * 8
+    assert peak <= spec.values.nbytes + padded + 3 * 2**20
 
 
 def _median_digest_into(queue):

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -326,3 +327,29 @@ def test_stretch_noise_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 40 * len(out)
+
+
+@pytest.mark.parametrize("variant", [VARIANT_MULTIPLY, VARIANT_REPLACE])
+@pytest.mark.parametrize("alpha, length, block", [
+    (0.25, 300, 4 * NM_BLOCK),  # one block
+    (1.0, 1000, NM_BLOCK),  # the rest end mid-block
+    (2.5, 700, NM_BLOCK),
+    (8.0, 300, NM_BLOCK),
+])
+def test_same_bytes_under_stressed_thread_schedule(monkeypatch, variant, alpha, length, block):
+    """More workers than CPUs and a thread switch every microsecond: the
+    dealt blocks still overlap-add to the one-CPU bytes."""
+    monkeypatch.setattr(core, "FRAME_BLOCK", block * SMALL_NM.window_size)
+    frames = excitation_frames(length, alpha, SMALL_NM)
+    assert frames <= block if block > NM_BLOCK else frames % block != 0
+    noise = shaped_noise(-3.0, length / SR, seed=length)
+    results = {}
+    interval = sys.getswitchinterval()
+    try:
+        for cpus in (1, 4):
+            monkeypatch.setattr(core, "_cpu_count", lambda: cpus)
+            sys.setswitchinterval(1e-6 if cpus > 1 else interval)
+            results[cpus] = stretch_noise(noise, alpha, SMALL_NM, variant, seed=5).samples.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[4] == results[1]

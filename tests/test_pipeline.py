@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import threading
 import time
 
 import numpy as np
 import pytest
 
+from stretchkit import core, noisemorph, vocoder
 from stretchkit.core import MAX_AMPLITUDE, MAX_WINDOW, AudioBuffer
 from stretchkit.errors import ConfigurationError
 from stretchkit.metrics import dominant_frequency, octave_band_levels, onset_positions
@@ -289,3 +291,73 @@ def test_nm_oracles_at_scaled_rates(kind, alpha, rate):
         _, level_in = octave_band_levels(x)
         _, level_out = octave_band_levels(y)
         assert np.max(np.abs(level_out - level_in)) <= 2.0
+
+
+def live_workers():
+    """stretchkit worker threads still alive after a join of up to 10 s each."""
+    workers = [t for t in threading.enumerate() if t.name.startswith("stretchkit-worker")]
+    for t in workers:
+        t.join(timeout=10)
+    return [t for t in workers if t.is_alive()]
+
+
+def many_blocks(monkeypatch):
+    """Four CPUs' worth of workers and blocks of four default-sized frames."""
+    monkeypatch.setattr(core, "_cpu_count", lambda: 4)
+    monkeypatch.setattr(core, "FRAME_BLOCK", 4 * PvParams().window_size)
+
+
+def test_traced_names_run_on_the_calling_thread(monkeypatch):
+    """find_peaks and generate_excitation are wrapped by the benchmark's
+    tracer, which keeps one open-span stack: they must not run on a worker,
+    while the dealt lerp_frames does."""
+    many_blocks(monkeypatch)
+    threads = {"find_peaks": set(), "generate_excitation": set(), "lerp_frames": set()}
+
+    def record(module, name):
+        original = getattr(module, name)
+
+        def recording(*args, **kwargs):
+            threads[name].add(threading.get_ident())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
+
+    record(vocoder, "find_peaks")
+    record(noisemorph, "generate_excitation")
+    record(noisemorph, "lerp_frames")
+    out, _ = stretch(gen_signal("click_plus_hiss", 1.0), StretchConfig(alpha=2.0, mode="nm"))
+    assert len(out) == 2 * SR
+    caller = {threading.get_ident()}
+    assert threads["find_peaks"] == threads["generate_excitation"] == caller
+    assert len(threads["lerp_frames"] - caller) > 0
+    assert not live_workers()
+
+
+class BlockError(Exception):
+    pass
+
+
+def raise_on_third_call(monkeypatch, module, name):
+    original, calls, lock = getattr(module, name), [], threading.Lock()
+
+    def failing(*args, **kwargs):
+        with lock:
+            calls.append(None)
+            if len(calls) == 3:
+                raise BlockError(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, failing)
+
+
+@pytest.mark.parametrize("module,name,mode", [
+    (noisemorph, "lerp_frames", "nd"),  # raises on a worker or the calling thread
+    (vocoder, "find_peaks", "nm"),  # raises on the calling thread, blocks in flight
+])
+def test_block_error_propagates_and_workers_are_joined(monkeypatch, module, name, mode):
+    many_blocks(monkeypatch)
+    raise_on_third_call(monkeypatch, module, name)
+    with pytest.raises(BlockError, match=name):
+        stretch(gen_signal("click_plus_hiss", 1.0), StretchConfig(alpha=2.0, mode=mode))
+    assert not live_workers()

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -369,3 +371,32 @@ def test_short_outputs_keep_median_clamp(window, hop, alpha):
         ref = pv_stretch_loop(x.samples, alpha, window, hop, False,
                               level=lambda wsum, w, h: np.median(wsum))
         assert np.array_equal(y, ref), frames
+
+
+# (alpha, synthesis frames): one block, and outputs ending mid-block and at a block end
+THREAD_CASES = [(0.25, SMALL_BLOCK - 1), (1.0, 4 * SMALL_BLOCK + 1), (2.5, 3 * SMALL_BLOCK + 2),
+                (8.0, 4 * SMALL_BLOCK)]
+
+
+@pytest.mark.parametrize("alpha,frames", THREAD_CASES)
+def test_same_bytes_under_stressed_thread_schedule(monkeypatch, alpha, frames):
+    """More workers than CPUs and a thread switch every microsecond: the
+    dealt blocks still overlap-add to the one-CPU bytes."""
+    w, hop = SMALL_PV.window_size, SMALL_PV.synthesis_hop
+    monkeypatch.setattr(core, "FRAME_BLOCK", SMALL_BLOCK * w)
+    n = round((w + (frames - 1) * hop) / alpha)
+    assert n_frames_for(output_length(n, alpha), StftParams(w, hop)) == frames
+    x = np.random.default_rng(frames).standard_normal(n)
+    x[n // 3 : 2 * n // 3] = 0.0  # frames without peaks too
+    x = AudioBuffer(x, SR)
+    results = {}
+    interval = sys.getswitchinterval()
+    try:
+        for cpus in (1, 4):
+            monkeypatch.setattr(core, "_cpu_count", lambda: cpus)
+            sys.setswitchinterval(1e-6 if cpus > 1 else interval)
+            results[cpus] = [f(x, alpha, SMALL_PV).samples.tobytes()
+                             for f in (stretch_plain, stretch_sines)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[4] == results[1]
