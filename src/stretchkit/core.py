@@ -15,14 +15,23 @@ in the process's affinity, started for the call and joined before it
 returns. The STFT's window multiply and rfft (in sub-blocks of at most
 FRAME_BLOCK values) and the ISTFT's irfft and window multiply run so on
 consecutive slices of frame rows once a transform reaches _THREADED_MIN
-values (smaller ones run inline). The median sorts each full window on its
-own in bounded blocks on the worker threads while the calling thread sorts
-the truncated edge windows one position at a time. The vocoder and the
-noise morph deal their frame blocks in turn to the calling thread and the
-workers. Every overlap-add and every step that carries state from one frame
-to the next stays on the calling thread, in frame order, and every row is
-computed on its own, so all outputs are bit-identical for any thread count,
-and no setting changes the count.
+values (smaller ones run inline). The median works on chunks of whole lines
+on the worker threads while the calling thread sorts the truncated edge
+windows one position at a time. The vocoder and the noise morph deal their
+frame blocks in turn to the calling thread and the workers. Every
+overlap-add and every step that carries state from one frame to the next
+stays on the calling thread, in frame order, and every row is computed on
+its own, so all outputs are bit-identical for any thread count, and no
+setting changes the count.
+
+No full median window is sorted as floats. One of at most _NETWORK_MAX
+values goes through a comparator network, a pruned Batcher odd-even merge
+network applied with np.minimum/np.maximum to shifted slices; a longer one
+is sorted as the ranks its values hold in their line, small integers, and
+the middle rank names the median. Either way the median is one of the
+window's own values, the one a float sort would put in the middle, so the
+output bits are those of that sort; only where the median ties -0.0 with
++0.0 may either zero come back, and magnitudes from np.abs hold no -0.0.
 """
 
 from __future__ import annotations
@@ -42,7 +51,8 @@ from .errors import ConfigurationError
 TIME_AXIS = "time"
 FREQ_AXIS = "frequency"
 
-_MEDIAN_BLOCK = 1 << 16  # values per sorted median block (512 KB)
+_MEDIAN_BLOCK = 1 << 16  # values per median chunk of whole lines and per sorted rank block
+_NETWORK_MAX = 7  # longest median window a comparator network selects from
 # values per block of frames that the vocoder and the noise morph transform at
 # once, and that an STFT task windows at once (32 frames at 4096), so their
 # memory does not grow with the output
@@ -279,10 +289,30 @@ def median_filter_axis(mag: Spectrogram, axis: str, length: int) -> Spectrogram:
     that exist, so edges use truncated windows and no padding values are
     invented. length must be odd and positive; values must be finite.
 
-    Full windows are sorted in blocks of at most _MEDIAN_BLOCK values, shared
-    among the worker threads of _parallel, while the calling thread sorts the
-    truncated windows, one edge position at a time. Each window is sorted on
-    its own, so the output is bit-identical for any thread count.
+    Full windows take one of two exact rules, chosen from length, on chunks
+    of whole lines of about _MEDIAN_BLOCK values, split among the worker
+    threads of _parallel while the calling thread sorts the truncated edge
+    windows, one position at a time:
+
+    - length <= _NETWORK_MAX: the comparator network of _median_network,
+      applied with np.minimum/np.maximum to the length shifted slices of a
+      chunk. It only moves values, so its middle output is the median.
+    - longer: each line's values are replaced by their ranks in the line,
+      np.argsort's order inverted (int16 for lines of at most 2**15
+      positions, else int32); each window's ranks are copied and sorted in
+      blocks of at most _MEDIAN_BLOCK values, and the line's value of the
+      middle rank is the median. Ranks keep the line's order exactly, equal
+      values included, so this is the k-th order statistic a float sort of
+      the window takes.
+
+    So the output is bit-identical to sorting each window, for any thread
+    count. The one exception is a median that ties -0.0 with +0.0, where
+    either zero may come back; magnitudes from np.abs hold no -0.0.
+
+    The ranks cost more than a float sort of each window at 9 <= length
+    <= 25: up to about 1.4x on 2 s STN grids, on one CPU of an AVX-512
+    x86-64 machine. Only non-default median spans reach those lengths;
+    for_rate keeps the default ones at 5 and 7, and 69 to 95.
     """
     if length < 1 or length % 2 == 0:
         raise ConfigurationError(f"median length must be odd and positive, got {length}")
@@ -310,43 +340,104 @@ def median_filter_axis(mag: Spectrogram, axis: str, length: int) -> Spectrogram:
                 with np.errstate(over="ignore"):
                     out[:, i] = (window[:, mid - 1] + window[:, mid]) / 2
 
-    full = _median_blocks(lines, n - 2 * half, length)
-    workers = min(len(full), _cpu_count())
-    buf_size = min(max(1, _MEDIAN_BLOCK // length), lines * n) * length
-    _parallel([edges, *(
-        partial(_full_medians, data, length, out[:, half : n - half], full[i::workers],
-                np.empty(buf_size))
-        for i in range(workers)
-    )])
+    full = n - 2 * half  # positions with a full window
+    network = length <= _NETWORK_MAX
+    # a chunk is whole lines of about _MEDIAN_BLOCK values; the network holds
+    # length + 1 copies of its chunk, so its chunks are that much shorter
+    rows = min(lines, max(1, _MEDIAN_BLOCK // (n * (length + 1 if network else 1))))
+    chunks = [slice(r, min(r + rows, lines)) for r in range(0, lines, rows)] if full > 0 else []
+    tasks = min(len(chunks), _cpu_count())
+    if network:
+        task = partial(_network_medians, _median_network(length))
+        buffers = [(np.empty((length + 1, rows, full)),) for _ in range(tasks)]
+    else:
+        rank_type = np.int16 if n <= 1 << 15 else np.int32
+        task = partial(_rank_medians, np.arange(n, dtype=rank_type)[None, :])
+        block = min(max(1, _MEDIAN_BLOCK // length), rows * full) * length
+        buffers = [(np.empty((rows, n), rank_type), np.empty((rows, full), rank_type),
+                    np.empty(block, rank_type)) for _ in range(tasks)]
+    _parallel([edges, *(partial(task, data, out[:, half : n - half], chunks[i::tasks], *buffers[i])
+                        for i in range(tasks))])
     return mag.copy_with(result)
 
 
-def _median_blocks(lines: int, positions: int, length: int) -> list:
-    """(line slice, position slice) pairs tiling lines x [0, positions), each
-    with at most _MEDIAN_BLOCK window values (one window if it is longer)."""
-    if positions <= 0:
-        return []
-    per_block = max(1, _MEDIAN_BLOCK // length)
-    step = min(positions, per_block)
-    rows = max(1, per_block // step)
-    return [
-        (slice(r, r + rows), slice(p, min(p + step, positions)))
-        for r in range(0, lines, rows)
-        for p in range(0, positions, step)
-    ]
+def _median_network(length: int) -> list:
+    """Batcher's odd-even merge sorting network for length inputs, pruned to
+    the comparators the middle output depends on: (lo, hi, keep_lo, keep_hi)
+    in order, where comparator (lo, hi) puts the lower of its two inputs on
+    wire lo and the higher on wire hi, and keep_lo/keep_hi say which of the
+    two a later comparator or the middle output reads. Comparators that
+    would touch a wire at or above length (the network for the next power of
+    two, padded with +inf) are dropped, which leaves a sorting network."""
+    pairs = []
+    p = 1
+    while p < length:
+        k = p
+        while k >= 1:
+            for j in range(k % p, length - k, 2 * k):
+                for i in range(j, j + min(k, length - j - k)):
+                    if i // (2 * p) == (i + k) // (2 * p):
+                        pairs.append((i, i + k))
+            k //= 2
+        p *= 2
+    needed = {length // 2}
+    network = []
+    for lo, hi in reversed(pairs):
+        if lo in needed or hi in needed:
+            network.append((lo, hi, lo in needed, hi in needed))
+            needed |= {lo, hi}
+    return network[::-1]
 
 
-def _full_medians(data: np.ndarray, length: int, out: np.ndarray, blocks: list,
-                  buf: np.ndarray) -> None:
-    """Write the median of each full window of data's lines in blocks into
-    out, sorting every block in the front of buf."""
-    windows = np.lib.stride_tricks.sliding_window_view(data, length, axis=1)
-    for r, p in blocks:
-        window = windows[r, p]
-        block = buf[: window.size].reshape(window.shape)
-        np.copyto(block, window)
-        block.sort(axis=2)
-        out[r, p] = block[..., length // 2]
+def _network_medians(network: list, data: np.ndarray, out: np.ndarray, chunks: list,
+                     buffers: np.ndarray) -> None:
+    """Write the median of each full window of data's lines in chunks into
+    out: network's comparators applied with np.minimum/np.maximum to the
+    window's shifted slices of the chunk, in buffers: length + 1 chunks, as
+    the wires hold at most length of them, plus the one a comparator writes
+    before it frees an input's."""
+    length = data.shape[1] - out.shape[1] + 1
+    full = out.shape[1]
+    for rows in chunks:
+        k = rows.stop - rows.start
+        wires = [data[rows, i : i + full] for i in range(length)]
+        owned = [False] * length  # whether wires[i] is one of the buffers
+        free = [buf[:k] for buf in buffers]
+        for lo, hi, keep_lo, keep_hi in network:
+            a, b = wires[lo], wires[hi]
+            spent = [w for w, own in ((a, owned[lo]), (b, owned[hi])) if own]
+            # an output computed last may overwrite an input, elementwise
+            if keep_lo:
+                wires[lo] = np.minimum(a, b, out=spent.pop() if spent and not keep_hi else free.pop())
+            if keep_hi:
+                wires[hi] = np.maximum(a, b, out=spent.pop() if spent else free.pop())
+            free.extend(spent)
+            owned[lo], owned[hi] = keep_lo, keep_hi
+        out[rows] = wires[length // 2]
+
+
+def _rank_medians(positions: np.ndarray, data: np.ndarray, out: np.ndarray, chunks: list,
+                  ranks: np.ndarray, middles: np.ndarray, block: np.ndarray) -> None:
+    """Write the median of each full window of data's lines in chunks into
+    out: each line's values are ranked into ranks (positions' type), each
+    window's ranks are sorted in the front of block and its middle rank kept
+    in middles; the line's value of that rank is the median."""
+    length = data.shape[1] - out.shape[1] + 1
+    full = out.shape[1]
+    for rows in chunks:
+        line = data[rows]
+        order = np.argsort(line, axis=1)
+        rank, middle = ranks[: len(line)], middles[: len(line)]
+        np.put_along_axis(rank, order, positions, axis=1)
+        windows = np.lib.stride_tricks.sliding_window_view(rank, length, axis=1)
+        step = max(1, block.size // (len(line) * length))
+        for p in range(0, full, step):
+            window = windows[:, p : p + step]
+            sorted_ = block[: window.size].reshape(window.shape)
+            np.copyto(sorted_, window)
+            sorted_.sort(axis=2)
+            middle[:, p : p + step] = sorted_[..., length // 2]
+        out[rows] = np.take_along_axis(line, np.take_along_axis(order, middle, axis=1), axis=1)
 
 
 def _row_slices(rows: int, width: int) -> list:

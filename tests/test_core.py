@@ -353,18 +353,76 @@ def test_median_filter_small_blocks_match_truncated_np_median(monkeypatch, shape
     values = rng.integers(0, 5, shape) + rng.random(shape).round(1)
     ax = 0 if axis == "time" else 1
     n = shape[ax]
-    lengths = [1, 3, 5, 7, 9, 63, 65, n - 2, n, n + 2, 2 * n + 1, 2 * n + 5]
+    switch = core._NETWORK_MAX + 2  # the shortest window the ranks serve
+    lengths = [1, 3, 5, 7, 9, 63, 65, n - 2, n, n + 2, 2 * n + 1, 2 * n + 5,
+               switch - 2, switch, switch + 2]
     for length in sorted({k | 1 for k in lengths if k > 0}):
         got = median_filter_axis(mag_spec(values), axis, length).values
         assert np.array_equal(got, truncated_median(values, ax, length)), length
 
 
+@pytest.mark.parametrize("length,comparators", [(1, 0), (3, 3), (5, 8), (7, 14)])
+def test_median_network_selects_median_of_every_0_1_input(length, comparators):
+    """By the 0-1 principle, a comparator network selects the median of every
+    input once it does so for every input of zeros and ones: here, each of
+    the 2**length lines' one full window."""
+    assert core._NETWORK_MAX == 7
+    assert len(core._median_network(length)) == comparators
+    bits = (np.arange(2**length)[:, None] >> np.arange(length)) & 1
+    got = median_filter_axis(mag_spec(bits), "frequency", length).values[:, length // 2]
+    assert np.array_equal(got, np.sort(bits, axis=1)[:, length // 2])
+
+
+@pytest.mark.parametrize("n", [2**15, 2**15 + 1])
+def test_median_filter_long_lines_rank_exactly(n):
+    """Two lines of 2**15 positions, the longest ranked in int16, and of one
+    more, ranked in int32."""
+    rng = np.random.default_rng(n)
+    values = rng.integers(0, 50, (n, 2)) + rng.random((n, 2)).round(2)
+    length, half = 69, 34
+    expected = np.empty_like(values)
+    windows = np.lib.stride_tricks.sliding_window_view(values, length, axis=0)
+    expected[half : n - half] = np.median(windows, axis=-1)
+    expected[:half] = truncated_median(values[: 3 * half], 0, length)[:half]
+    expected[n - half :] = truncated_median(values[-3 * half :], 0, length)[-half:]
+    assert np.array_equal(median_filter_axis(mag_spec(values), "time", length).values, expected)
+
+
+@pytest.mark.parametrize("axis,length", [("frequency", 7), ("time", 71)])
+def test_median_filter_peak_is_result_copy_and_per_task_buffers(monkeypatch, axis, length):
+    """Beyond its result and the line-major copy of its input, a median holds
+    per-task buffers of a few chunks, not anything the size of the grid: the
+    48 kHz 10 s stage-2 grid, by the network and by the ranks."""
+    monkeypatch.setattr(core, "_cpu_count", lambda: 2)
+    values = np.random.default_rng(2).random((3561, 271))
+    tracemalloc.start()
+    try:
+        median_filter_axis(mag_spec(values), axis, length)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    line_major_copy = values.nbytes if axis == "time" else 0
+    per_task = 4 * core._MEDIAN_BLOCK * 8
+    assert peak <= values.nbytes + line_major_copy + 2 * per_task
+
+
+# (axis, length) of median_grid's medians: the ranks along time, the network
+# along frequency
+MEDIAN_GRID_CASES = ((0, 69), (1, 7))
+
+
 def median_grid():
-    """A grid of many default-sized blocks, its length-69 time median and its
-    sha256 digest."""
+    """A grid of several default-sized chunks, its medians for each of
+    MEDIAN_GRID_CASES and one sha256 digest of them all."""
     values = np.random.default_rng(7).random((695, 257))
-    out = median_filter_axis(mag_spec(values), "time", 69).values
-    return values, out, hashlib.sha256(out.tobytes()).hexdigest()
+    outs = [median_filter_axis(mag_spec(values), ("time", "frequency")[ax], length).values
+            for ax, length in MEDIAN_GRID_CASES]
+    return values, outs, hashlib.sha256(b"".join(out.tobytes() for out in outs)).hexdigest()
+
+
+def assert_median_grid(values, outs):
+    for (ax, length), out in zip(MEDIAN_GRID_CASES, outs):
+        assert np.array_equal(out, truncated_median(values, ax, length)), (ax, length)
 
 
 def transform_digest():
@@ -399,8 +457,8 @@ def one_cpu_stdout(expr):
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
 def test_median_filter_one_cpu_subprocess_same_bytes():
-    values, out, digest = median_grid()
-    assert np.array_equal(out, truncated_median(values, 0, 69))
+    values, outs, digest = median_grid()
+    assert_median_grid(values, outs)
     assert one_cpu_stdout("test_core.median_grid()[2]") == ["1", digest]
 
 
@@ -438,7 +496,7 @@ def _median_digest_into(queue):
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
 def test_median_filter_in_forked_child_after_pool_use(monkeypatch):
     monkeypatch.setattr(core, "_cpu_count", lambda: 2)
-    values, out, digest = median_grid()  # the parent has run worker threads
+    values, outs, digest = median_grid()  # the parent has run worker threads
     ctx = multiprocessing.get_context("fork")
     queue = ctx.Queue()
     child = ctx.Process(target=_median_digest_into, args=(queue,))
@@ -451,7 +509,7 @@ def test_median_filter_in_forked_child_after_pool_use(monkeypatch):
             child.kill()
     assert got == digest
     assert not child.is_alive() and child.exitcode == 0
-    assert np.array_equal(out, truncated_median(values, 0, 69))
+    assert_median_grid(values, outs)
 
 
 def test_median_filter_concurrent_callers_same_bytes(monkeypatch):
