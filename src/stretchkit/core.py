@@ -1,37 +1,19 @@
 """STFT/ISTFT engine, window handling, and axis-wise median filtering.
 
-All analysis uses one-sided spectra of real signals (K = window/2 + 1 bins)
-and 64-bit floats internally. One overlap-add, `overlap_add`, sums
-frames for the ISTFT, its window-squared normalization, the vocoder's and
-the noise morph's, which add block after block of at most FRAME_BLOCK values
-(`frame_blocks`) into one output buffer. One normalization,
-`divide_window_sum`, serves the ISTFT and the noise morph: it reconstructs
-the input exactly wherever at least one nonzero window value covers a sample.
+Spectra are one-sided (K = window/2 + 1 bins), in 64-bit floats. Every stage
+frames by one rule and normalizes by one division. `frames_at` windows the
+frames that start at given sample positions, reading zeros outside the
+signal, with no padded copy; a stage's array of starts is its time map.
+`overlap_add` sums frames in frame order, block after block of at most
+FRAME_BLOCK values (`frame_blocks`) into one buffer, and `divide_window_sum`
+divides the sum by the overlap-added squared window, built from one hop.
 
-One thread rule serves the transforms, the median and the frame blocks
-(`dealer`, and `_parallel` on it): work on independent rows or blocks is
-dealt out to the calling thread and to worker threads, at most one per CPU
-in the process's affinity, started for the call and joined before it
-returns. The STFT's window multiply and rfft (in sub-blocks of at most
-FRAME_BLOCK values) and the ISTFT's irfft and window multiply run so on
-consecutive slices of frame rows once a transform reaches _THREADED_MIN
-values (smaller ones run inline). The median works on chunks of whole lines
-on the worker threads while the calling thread sorts the truncated edge
-windows one position at a time. The vocoder and the noise morph deal their
-frame blocks in turn to the calling thread and the workers. Every
-overlap-add and every step that carries state from one frame to the next
-stays on the calling thread, in frame order, and every row is computed on
-its own, so all outputs are bit-identical for any thread count, and no
+Threads start only in `dealer` (and `_parallel` on it), at most one per CPU
+in the process's affinity, joined before the call returns. Rows and blocks
+are computed on their own, and every overlap-add and every step that
+carries state from one frame to the next stays on the calling thread in
+frame order, so all outputs are bit-identical for any thread count; no
 setting changes the count.
-
-No full median window is sorted as floats. One of at most _NETWORK_MAX
-values goes through a comparator network, a pruned Batcher odd-even merge
-network applied with np.minimum/np.maximum to shifted slices; a longer one
-is sorted as the ranks its values hold in their line, small integers, and
-the middle rank names the median. Either way the median is one of the
-window's own values, the one a float sort would put in the middle, so the
-output bits are those of that sort; only where the median ties -0.0 with
-+0.0 may either zero come back, and magnitudes from np.abs hold no -0.0.
 """
 
 from __future__ import annotations
@@ -191,34 +173,49 @@ def n_frames_for(length: int, params: StftParams) -> int:
     return 1 + math.ceil(max(0, length - params.window_size) / params.hop_size)
 
 
-def stft(signal: AudioBuffer, params: StftParams) -> Spectrogram:
-    """Short-time Fourier transform with tail zero-padding.
-
-    Frame m covers samples [m*hop, m*hop + window); the final partial frame
-    is zero-padded. An empty signal yields a 0-frame spectrogram.
-    """
+def stft(signal: AudioBuffer, params: StftParams, pad: int = 0) -> Spectrogram:
+    """Short-time Fourier transform: frame m is frames_at's frame at start
+    m*hop - pad, for the n_frames_for(len + 2*pad) frames that cover the
+    signal with `pad` zeros on each side (none for an empty signal, pad 0)."""
     x = signal.samples
     w, h = params.window_size, params.hop_size
-    m = n_frames_for(len(x), params)
+    m = n_frames_for(len(x) + 2 * pad, params)
     values = np.empty((m, params.n_bins), dtype=np.complex128)
-    if m == 0:
-        return Spectrogram(values, w, h, signal.sample_rate)
-    padded_len = (m - 1) * h + w
-    xp = np.zeros(padded_len)
-    xp[: len(x)] = x
-    frames = np.lib.stride_tricks.sliding_window_view(xp, w)[::h]
+    starts = np.arange(m) * h - pad
     win = params.window()
     block = max(1, FRAME_BLOCK // w)
 
     def transform(rows, windowed):
         for r0 in range(rows.start, rows.stop, block):
             r1 = min(r0 + block, rows.stop)
-            np.multiply(frames[r0:r1], win, out=windowed[: r1 - r0])
+            frames_at(x, starts[r0:r1], win, windowed[: r1 - r0])
             np.fft.rfft(windowed[: r1 - r0], axis=1, out=values[r0:r1])
 
     _parallel([partial(transform, rows, np.empty((min(block, rows.stop - rows.start), w)))
                for rows in _row_slices(m, w)])
     return Spectrogram(values, w, h, signal.sample_rate)
+
+
+def frames_at(x: np.ndarray, starts: np.ndarray, win: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write win * x[s : s + W] into out[i] for each start s = starts[i]
+    (nondecreasing, any of them outside x), reading +0.0 outside x; returns
+    out. Frames inside x are read through a strided view of x, sliced where
+    their starts are evenly spaced; a frame crossing an end is filled alone."""
+    n, w = len(x), len(win)
+    first, stop = np.searchsorted(starts, [0, n - w + 1])  # the frames inside x
+    inner = starts[first:stop]
+    if inner.size:
+        frames = np.lib.stride_tricks.sliding_window_view(x, w)
+        step = (inner[-1] - inner[0]) // max(inner.size - 1, 1)
+        even = step > 0 and np.all(np.diff(inner) == step)
+        np.multiply(frames[inner[0] : inner[-1] + 1 : step] if even else frames[inner], win,
+                    out=out[first:stop])
+    for i in (*range(first), *range(max(first, stop), len(starts))):
+        s = starts[i]
+        lo, hi = min(max(-s, 0), w), max(min(n - s, w), 0)  # the part inside x
+        out[i] = 0.0
+        np.multiply(x[s + lo : s + hi], win[lo:hi], out=out[i, lo:hi])
+    return out
 
 
 def overlap_add(frames: np.ndarray, hop: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -263,15 +260,28 @@ def istft(spec: Spectrogram) -> AudioBuffer:
     return AudioBuffer(out, spec.sample_rate)
 
 
-def divide_window_sum(out: np.ndarray, n_frames: int, win: np.ndarray, hop: int) -> np.ndarray:
-    """Normalize `out`, the overlap-add of n_frames frames windowed by win and
-    laid hop apart, in place: divide each sample by the overlap-added squared
-    window where that sum is positive, and zero the samples it leaves
-    uncovered. Returns out."""
-    wsum = overlap_add(np.broadcast_to(win**2, (n_frames, len(win))), hop)
-    covered = wsum > 0.0
-    np.divide(out, wsum, out=out, where=covered)
-    np.copyto(out, 0.0, where=~covered)
+def divide_window_sum(out: np.ndarray, n_frames: int, win: np.ndarray, hop: int,
+                      floor: float = 0.0) -> np.ndarray:
+    """Divide `out` (contiguous), the overlap-add of n_frames frames windowed
+    by win and laid hop apart, in place by max(wsum, floor) where that is
+    positive, wsum the overlap-added squared window, and zero it elsewhere;
+    returns out. wsum adds each sample's frames in frame order, so between
+    the ends it repeats every hop, and its first and last k*hop samples,
+    k = ceil(W / hop), are a 2k-frame sum's: the ends and one hop of that
+    sum divide bit for bit as wsum would, and wsum is never built whole."""
+    k = -(-len(win) // hop)
+    ends = overlap_add(np.broadcast_to(win**2, (min(n_frames, 2 * k), len(win))), hop)
+    pieces = [(out, ends)]
+    if n_frames > 2 * k:
+        edge = k * hop
+        stop = edge + (len(out) - 2 * edge) // hop * hop  # the middle's whole hops
+        pieces = [(out[:edge], ends[:edge]),
+                  (out[edge:stop].reshape(-1, hop), ends[edge : edge + hop]),
+                  (out[stop:], ends[stop - len(out) :])]
+    for part, wsum in pieces:
+        divisor = np.maximum(wsum, floor)
+        np.divide(part, divisor, out=part, where=divisor > 0.0)
+        np.copyto(part, 0.0, where=divisor <= 0.0)
     return out
 
 

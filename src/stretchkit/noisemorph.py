@@ -5,16 +5,8 @@ window and hop. Its frame m takes the noise's log-magnitude spectrogram at
 input frame position m/alpha, linearly interpolated between frames, and
 those magnitudes modulate its bins. Because the excitation is a single
 time-domain signal, overlapping synthesis frames stay perfectly correlated
-and the result is free of frame-rate artifacts.
-
-The excitation is analysed, morphed and resynthesised in blocks of at most
-core.FRAME_BLOCK frame values (a constant, not a setting), which are added
-in frame order into one output buffer, so no grid the size of the output's
-spectrogram exists. The blocks are dealt by core.dealer to the calling
-thread and its workers; the excitation draw, the overlap-add and the window
-sum stay on the calling thread. Every element goes through the same
-operations in any block on any thread, so the output is bit-identical for
-any block size and thread count.
+and the result is free of frame-rate artifacts. core.frames_at reads its
+frames in place at starts (m - ceil(window/hop)) * hop, the time map.
 
 Two variants exist: 'multiply' scales the excitation bins by the target
 magnitudes (keeping their stochastic magnitude variation), while 'replace'
@@ -38,6 +30,7 @@ from .core import (
     dealer,
     divide_window_sum,
     frame_blocks,
+    frames_at,
     n_frames_for,
     output_length,
     overlap_add,
@@ -165,9 +158,10 @@ def stretch_noise(
     noise's frames, so the input's last frames reach the output's end.
 
     The noise's log-magnitude grid is input-sized and computed whole. The
-    excitation's frames are transformed, morphed, inverted and overlap-added
-    in blocks of at most core.FRAME_BLOCK values, and the sum is divided once
-    by the window sum, so the output's bits do not depend on the block size.
+    excitation's frames go through in blocks of at most core.FRAME_BLOCK
+    values (a constant, not a setting) dealt by core.dealer, so the output's
+    bits do not depend on the block size or the thread count, and the peak
+    memory is the excitation, the output and the blocks in flight.
     """
     if params is None:
         params = NoiseMorphParams()
@@ -179,35 +173,37 @@ def stretch_noise(
     if out_length == 0:
         return AudioBuffer(np.zeros(0), noise.sample_rate)
 
-    # The excitation is synthesized on a frame grid padded by a full window
-    # on each side: the retained region then has complete overlap coverage,
-    # so the overlap-add normalization never divides by a vanishing window
-    # sum (morphed frames are not time-tapered the way analysis frames are).
+    # The excitation's frames start ceil(W / h) hops before its first sample
+    # and run as far past its last: the retained region then has complete
+    # overlap coverage, so the overlap-add normalization never divides by a
+    # vanishing window sum (morphed frames are not time-tapered the way
+    # analysis frames are).
     w, h, rate = sp.window_size, sp.hop_size, noise.sample_rate
     lead_frames = -(-w // h)
     pad = lead_frames * h
     n_frames = n_frames_for(out_length + 2 * pad, sp)
     logmag = log_magnitude(stft(noise, sp), params.floor_db)
-    # the padded excitation, zero-padded to whole frames as stft pads it
-    excitation = np.zeros((n_frames - 1) * h + w)
-    excitation[pad : pad + out_length] = generate_excitation(out_length, seed, rate).samples
-    frames = np.lib.stride_tricks.sliding_window_view(excitation, w)[::h]
+    excitation = generate_excitation(out_length, seed, rate).samples
+    starts = (np.arange(n_frames) - lead_frames) * h
     positions = (np.arange(n_frames) - lead_frames) / alpha
     win, energy = sp.window(), window_energy(sp)
     shape = morph if variant == VARIANT_MULTIPLY else morph_replace
 
-    out = np.zeros(len(excitation))
+    out = np.zeros((n_frames - 1) * h + w)
     blocks = frame_blocks(n_frames, w)
 
     def synthesize(block):  # on a dealt thread
         b0, b1 = block
-        exc_spec = Spectrogram(np.fft.rfft(frames[b0:b1] * win, axis=1) / energy, w, h, rate)
-        morphed = shape(lerp_frames(logmag, positions[b0:b1]), exc_spec)
-        return np.fft.irfft(morphed.values, n=w, axis=1) * win
+        spec = np.fft.rfft(frames_at(excitation, starts[b0:b1], win, np.empty((b1 - b0, w))),
+                           axis=1)
+        spec /= energy  # in place, as the window multiply below: each thread holds a block
+        morphed = shape(lerp_frames(logmag, positions[b0:b1]), Spectrogram(spec, w, h, rate))
+        synth = np.fft.irfft(morphed.values, n=w, axis=1)
+        synth *= win
+        return synth
 
     with dealer() as deal:
         for (b0, b1), synth in zip(blocks, deal(synthesize, blocks)):
             overlap_add(synth, h, out=out[b0 * h : (b1 - 1) * h + w])
-    del frames, excitation  # released before the window sum, which lowers the peak
     divide_window_sum(out, n_frames, win, h)
     return AudioBuffer(out[pad : pad + out_length], rate)

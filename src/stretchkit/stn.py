@@ -157,15 +157,14 @@ def _stage_split(x: AudioBuffer, params: StftParams, thresholds, config: StnConf
     """One decomposition stage: mask the spectrogram, invert the kept part,
     and return (kept, rest = x - kept, masks).
 
-    The signal is zero-padded by a full window on each side so that every
-    input sample has complete overlap coverage. `keep` selects which mask
-    ('sines' or 'transients') extracts the kept component; the full MaskSet
-    is built only when with_masks is set (else masks is None). The scores
-    and the mask are dropped before the inverse transform.
+    The frames reach a full window past each end of the signal (stft's pad),
+    so every input sample has complete overlap coverage. `keep` selects which
+    mask ('sines' or 'transients') extracts the kept component; the full
+    MaskSet is built only when with_masks is set (else masks is None). The
+    scores and the mask are dropped before the inverse transform.
     """
     pad = params.window_size
-    xp = AudioBuffer(np.pad(x.samples, (pad, pad)), x.sample_rate)
-    spec = stft(xp, params)
+    spec = stft(x, params, pad)
     t_len, f_len = median_lengths(params, x.sample_rate, config)
     r_s, r_t = tonalness_transientness(spec.copy_with(np.abs(spec.values)), t_len, f_len)
     mask = saturating_mask((r_s if keep == "sines" else r_t).values, thresholds)

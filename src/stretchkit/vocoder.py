@@ -1,26 +1,19 @@
 """Phase-vocoder time stretching for the tonal component.
 
-Synthesis frames are laid out at a fixed hop; each reads its analysis frame
-from the input at position m*hop/alpha (rounded to the nearest sample, with
-the actual inter-frame distance used in the frequency estimate, so rounding
-does not bias the instantaneous frequencies). With phase locking enabled,
-bins inside each spectral peak's region of influence are rotated rigidly
-with the peak, preserving vertical phase coherence: the analysis spectrum is
-turned by one rotation per peak region, so phases are taken only at peak
-bins. Without locking every bin propagates independently (the plain vocoder
-used as quality anchor). Frames are transformed, synthesized and
-overlap-added in blocks of at most core.FRAME_BLOCK values, a constant, not
-a setting, then divided by the overlap-added squared window, clamped below at
-its lowest full-overlap value (for short outputs, its median where lower).
+Synthesis frame m, laid out at a fixed hop, reads its analysis frame at
+start round(m*hop/alpha), the time map, through core.frames_at; the
+frequency estimate uses the actual distance between starts, so rounding
+does not bias it. Phase locking keeps vertical phase coherence: the analysis
+spectrum is turned by one rotation per spectral peak's region of influence,
+so phases are taken only at peak bins; without it every bin propagates on
+its own (the plain vocoder, the quality anchor). The sum is divided by core.divide_window_sum
+above the floor _clamp_level.
 
-Each block passes three stages. Its analysis (rfft, magnitudes, and for the
-plain vocoder the phases and every frame's phase advance but the first's)
-and its synthesis (for the plain vocoder the complex exponential, then irfft
-and window) run on the threads core.dealer deals blocks to. The chain between
-them carries the phase from frame to frame: the locked vocoder's per-frame
-peak picking and rotation, or the plain vocoder's first advance and running
-sum. It and the overlap-add run on the calling thread in block order, so the
-output is bit-identical for any thread count.
+Frames run in blocks of at most core.FRAME_BLOCK values (a constant, not a
+setting). Analysis and synthesis run on the threads core.dealer deals blocks
+to; the chain that carries the phase from frame to frame (peak picking and
+rotation, or the plain running sum) and the overlap-add run on the calling
+thread in block order, so the output is bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -34,7 +27,9 @@ from .core import (
     StftParams,
     check_alpha,
     dealer,
+    divide_window_sum,
     frame_blocks,
+    frames_at,
     n_frames_for,
     output_length,
     overlap_add,
@@ -124,18 +119,16 @@ def _pv_stretch(signal: AudioBuffer, alpha: float, pv: PvParams | None,
     omega = 2.0 * np.pi * np.arange(params.n_bins) / window_size  # phase advance per sample
 
     n_syn = n_frames_for(out_length, params)
-    positions = np.rint(np.arange(n_syn) * synth_hop / alpha).astype(int)
-    dts = np.maximum(np.diff(positions, prepend=positions[0]), 1)
-    xp = np.zeros(max(positions[-1] + window_size, len(x)))
-    xp[: len(x)] = x
-    frames = np.lib.stride_tricks.sliding_window_view(xp, window_size)
+    starts = np.rint(np.arange(n_syn) * synth_hop / alpha).astype(int)
+    dts = np.maximum(np.diff(starts, prepend=starts[0]), 1)
 
     out = np.zeros((n_syn - 1) * synth_hop + window_size)
     blocks = frame_blocks(n_syn, window_size)
 
     def analyse(block):  # on a dealt thread
         b0, b1 = block
-        spec = np.fft.rfft(frames[positions[b0:b1]] * win, axis=1)
+        spec = np.fft.rfft(frames_at(x, starts[b0:b1], win, np.empty((b1 - b0, window_size))),
+                           axis=1)
         if locked:
             return spec, np.abs(spec)
         return _plain_analyse(spec, dts[b0:b1], omega, synth_hop)
@@ -156,16 +149,16 @@ def _pv_stretch(signal: AudioBuffer, alpha: float, pv: PvParams | None,
             overlap_add(synth, synth_hop,
                         out=out[b0 * synth_hop : (b1 - 1) * synth_hop + window_size])
 
-    wsum = overlap_add(np.broadcast_to(win**2, (n_syn, window_size)), synth_hop)
-    out /= np.maximum(wsum, _clamp_level(wsum, win, synth_hop))
+    divide_window_sum(out, n_syn, win, synth_hop, _clamp_level(n_syn, win, synth_hop))
     return AudioBuffer(out[:out_length], signal.sample_rate)
 
 
-def _clamp_level(wsum, win, synth_hop):
-    """The lowest full-overlap window sum (one hop of a k-frame sum), or the median
-    of the first 3k frames where lower, as in short outputs: from 3k frames on every
-    fully overlapped sample is divided by its own sum, as in istft."""
+def _clamp_level(n_frames, win, synth_hop):
+    """The lowest full-overlap window sum (one hop of a k-frame sum), or where lower the
+    median sum over the first 3k frames (of at most 4k), as in short outputs: from 3k
+    frames on every fully overlapped sample is divided by its own sum, as in istft."""
     w, k = len(win), -(-len(win) // synth_hop)
+    wsum = overlap_add(np.broadcast_to(win**2, (min(n_frames, 4 * k), w)), synth_hop)
     full = overlap_add(np.broadcast_to(win**2, (k, w)), synth_hop)[w - synth_hop : w]
     return min(np.median(wsum[: (3 * k - 1) * synth_hop + w]), full.min())
 

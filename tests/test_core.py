@@ -18,6 +18,8 @@ from stretchkit.core import (
     AudioBuffer,
     Spectrogram,
     StftParams,
+    divide_window_sum,
+    frames_at,
     istft,
     median_filter_axis,
     output_length,
@@ -173,6 +175,105 @@ def istft_reference(values, params):
     out[covered] /= wsum[covered]
     out[~covered] = 0.0
     return out
+
+
+def padded_frames(x, starts, win):
+    """The padded-copy rule: frames read from a copy of x with zeros before
+    its first sample and after its last, far enough for every start."""
+    w = len(win)
+    lead = max(0, -min(starts))
+    xp = np.zeros(lead + max(len(x), max(starts) + w))
+    xp[lead : lead + len(x)] = x
+    return np.array([xp[lead + s : lead + s + w] for s in starts]).reshape(-1, w) * win
+
+
+def frames_at_cases():
+    """(x, starts, win): evenly spaced, uneven and repeated starts, starts
+    before 0, past the end and wholly outside, inputs shorter than the
+    window and empty, and windows of 1 and 2 samples."""
+    rng = np.random.default_rng(11)
+    for n, w, starts in [
+        (100, 16, range(-40, 130, 4)),  # wholly outside at both ends
+        (100, 16, range(0, 85, 7)),  # inside only
+        (10, 16, range(-20, 30, 3)),  # shorter than the window
+        (0, 8, range(-10, 10, 4)),
+        (50, 1, range(-3, 55, 1)),
+        (50, 2, range(-4, 56, 3)),
+        (5, 2, [-2, -1, 0, 3, 4, 5, 6]),
+        (64, 8, [-9, -8, -1, 0, 0, 0, 3, 4, 9, 25, 56, 57, 64, 70]),  # uneven, repeated
+        (64, 8, [5]),
+    ]:
+        yield rng.standard_normal(n), np.asarray(starts), StftParams(w, w).window()
+    for _ in range(40):
+        n, w = int(rng.integers(0, 300)), int(rng.integers(1, 70))
+        starts = np.sort(rng.integers(-2 * w, n + w, int(rng.integers(1, 40))))
+        if rng.random() < 0.5:  # evenly spaced
+            starts = starts[0] + np.arange(len(starts)) * int(rng.integers(1, w + 1))
+        yield rng.standard_normal(n), starts, StftParams(w, w).window()
+
+
+def test_frames_at_equals_padded_copy_rule():
+    for x, starts, win in frames_at_cases():
+        out = np.full((len(starts), len(win)), np.nan)  # stale values would show
+        assert frames_at(x, starts, win, out) is out
+        assert out.tobytes() == padded_frames(x, starts, win).tobytes(), (len(x), list(starts))
+
+
+def test_frames_at_zeros_outside_are_positive():
+    """Samples read before 0 or past the end are +0.0, also under a window
+    with negative values, where the padded-copy rule gives -0.0."""
+    for x, starts, win in frames_at_cases():
+        win = -1.0 - np.arange(len(win))
+        out = frames_at(x, starts, win, np.full((len(starts), len(win)), -0.0))
+        positions = starts[:, None] + np.arange(len(win))
+        outside = (positions < 0) | (positions >= len(x))
+        assert np.all(out[outside] == 0.0) and not np.signbit(out[outside]).any()
+        assert out[~outside].tobytes() == (x[positions[~outside]] * np.broadcast_to(
+            win, out.shape)[~outside]).tobytes()
+
+
+# every (window, hop) StretchConfig.for_rate gives from 8 to 192 kHz: 34 pairs
+FOR_RATE_FRAMINGS = sorted({
+    pair
+    for rate in (8000, 11025, 16000, 22050, 32000, 44100, 48000, 88200, 96000, 176400, 192000)
+    for config in [StretchConfig().for_rate(rate)]
+    for pair in ((config.stn.long_window, config.stn.long_hop),
+                 (config.stn.short_window, config.stn.short_hop),
+                 (config.noise.window_size, config.noise.hop_size),
+                 (config.pv.window_size, config.pv.synthesis_hop))
+})
+
+
+def random_framings(count, seed):
+    """(window, hop) pairs with hop at least a sixth of the window, most of
+    them with a hop that does not divide the window."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(count):
+        w = int(rng.integers(1, 3000))
+        pairs.append((w, int(rng.integers(-(-w // 6), w + 1))))
+    return pairs
+
+
+@pytest.mark.parametrize("window,hop", FOR_RATE_FRAMINGS + random_framings(40, 3)
+                         + [(1, 1), (2, 1), (2, 2)])
+def test_divide_window_sum_equals_whole_sum_division(window, hop):
+    """Frame counts 1 .. 3k + 1 and 50k + 3, k = ceil(window / hop), floor 0
+    and a positive floor: the division by the ends and one hop of a 2k-frame
+    sum equals the division by the whole overlap-added squared window, bit
+    for bit."""
+    win = StftParams(window, hop).window()
+    k = -(-window // hop)
+    rng = np.random.default_rng(window * 7 + hop)
+    for n in [*range(1, 3 * k + 2), 50 * k + 3]:
+        wsum = overlap_add(np.broadcast_to(win**2, (n, window)), hop)
+        out = rng.standard_normal(len(wsum))
+        for floor in (0.0, 0.5 * wsum.max()):
+            divisor = np.maximum(wsum, floor)
+            expected = np.zeros_like(out)
+            np.divide(out, divisor, out=expected, where=divisor > 0.0)
+            result = divide_window_sum(out.copy(), n, win, hop, floor)
+            assert result.tobytes() == expected.tobytes(), (n, floor)
 
 
 # (samples, window, hop): inline and threaded shapes, two of them either side
@@ -473,10 +574,11 @@ def test_block_pipeline_one_cpu_subprocess_same_bytes():
 
 
 @pytest.mark.parametrize("window,hop", [(2048, 1024), (4096, 1024)])
-def test_stft_peak_is_spectrum_plus_padded_input(monkeypatch, window, hop):
+def test_stft_peak_is_spectrum_plus_sub_blocks(monkeypatch, window, hop):
     """Each task windows its rows in sub-blocks of at most FRAME_BLOCK values
-    (1 MiB), not in one copy the size of the spectrogram's real part; the
-    4096 window reaches _THREADED_MIN and runs on two tasks."""
+    (1 MiB), read from the input in place: no copy the size of the
+    spectrogram's real part and no padded copy of the input; the 4096
+    window reaches _THREADED_MIN and runs on two tasks."""
     monkeypatch.setattr(core, "_cpu_count", lambda: 2)
     x = white(441000)
     tracemalloc.start()
@@ -485,8 +587,7 @@ def test_stft_peak_is_spectrum_plus_padded_input(monkeypatch, window, hop):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    padded = ((spec.n_frames - 1) * hop + window) * 8
-    assert peak <= spec.values.nbytes + padded + 3 * 2**20
+    assert peak <= spec.values.nbytes + 3 * 2**20
 
 
 def _median_digest_into(queue):

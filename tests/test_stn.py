@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from stretchkit import stn
-from stretchkit.core import MAX_AMPLITUDE, AudioBuffer, Spectrogram
+from stretchkit.core import MAX_AMPLITUDE, AudioBuffer, Spectrogram, StftParams, overlap_add, stft
 from stretchkit.errors import ConfigurationError
+from stretchkit.pipeline import StretchConfig
 from stretchkit.signals import gen_signal
 from stretchkit.stn import (
     STAGE1_THRESHOLDS,
@@ -148,6 +149,44 @@ def test_decompose_with_and_without_masks_identical(kind):
     for name in ("sines", "transients", "noise"):
         assert np.array_equal(getattr(lean, name).samples, getattr(full, name).samples)
     assert m1.sines.shape[1] == 8192 // 2 + 1 and m2.sines.shape[1] == 512 // 2 + 1
+
+
+def stage_reference(x, rate, params, thresholds, config, keep):
+    """One stage as (kept, x - kept) from a copy of x padded by a window on
+    each side with np.pad, its whole stft, and an inverse that divides by the
+    overlap-added squared window of every frame."""
+    pad = w = params.window_size
+    spec = stft(AudioBuffer(np.pad(x, (pad, pad)), rate), params)
+    t_len, f_len = stn.median_lengths(params, rate, config)
+    r_s, r_t = tonalness_transientness(spec.copy_with(np.abs(spec.values)), t_len, f_len)
+    mask = saturating_mask((r_s if keep == "sines" else r_t).values, thresholds)
+    win = params.window()
+    out = overlap_add(np.fft.irfft(spec.values * mask, n=w, axis=1) * win, params.hop_size)
+    wsum = overlap_add(np.broadcast_to(win**2, (spec.n_frames, w)), params.hop_size)
+    covered = wsum > 0.0
+    out[covered] /= wsum[covered]
+    out[~covered] = 0.0
+    kept = out[pad : pad + len(x)]
+    return kept, x - kept
+
+
+@pytest.mark.parametrize("rate", [44100, 48000])
+@pytest.mark.parametrize("kind", ["click_plus_hiss", "two_tone"])
+def test_stages_equal_padded_copy_reference(kind, rate):
+    """Each stage frames its input from a window before its first sample,
+    with no padded copy, and divides by the window sum taken from one hop:
+    the components are the reference's bytes."""
+    config = StretchConfig().for_rate(rate).stn
+    x = gen_signal(kind, 1.0, rate).samples
+    long, short = (StftParams(config.long_window, config.long_hop),
+                   StftParams(config.short_window, config.short_hop))
+    sines, residual = stage_reference(x, rate, long, config.stage1, config, "sines")
+    transients, noise = stage_reference(residual, rate, short, config.stage2, config,
+                                        "transients")
+    comps = stn_decompose(AudioBuffer(x, rate), config)
+    assert comps.sines.samples.tobytes() == sines.tobytes()
+    assert comps.transients.samples.tobytes() == transients.tobytes()
+    assert comps.noise.samples.tobytes() == noise.tobytes()
 
 
 def test_mask_partition_and_range():

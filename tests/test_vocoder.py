@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,7 +315,7 @@ def test_median_window_sum_equals_np_median(window, hop):
     k = -(-window // hop)
     for n in [*range(1, 65), 257, 1000, 1723]:
         wsum = overlap_add(np.broadcast_to(win**2, (n, window)), hop)
-        level = vocoder._clamp_level(wsum, win, hop)
+        level = vocoder._clamp_level(n, win, hop)
         if n < k:
             assert level == np.median(wsum), n
         elif n < 3 * k:
@@ -371,6 +372,22 @@ def test_short_outputs_keep_median_clamp(window, hop, alpha):
         ref = pv_stretch_loop(x.samples, alpha, window, hop, False,
                               level=lambda wsum, w, h: np.median(wsum))
         assert np.array_equal(y, ref), frames
+
+
+def test_stretch_sines_memory_is_bounded(monkeypatch):
+    """At alpha 4 the vocoder holds its output, the blocks in flight and
+    short window sums: frames are read from the input in place and the
+    window sum is never output-sized (27 bytes per output sample when it
+    was, with a padded copy of the input). Two CPUs: one worker's blocks."""
+    monkeypatch.setattr(core, "_cpu_count", lambda: 2)
+    x = gen_signal("click_plus_hiss", 10.0)
+    tracemalloc.start()
+    try:
+        out = stretch_sines(x, 4.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * len(out)
 
 
 # (alpha, synthesis frames): one block, and outputs ending mid-block and at a block end

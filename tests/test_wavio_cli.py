@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import json
 import os
 import struct
 import subprocess
@@ -207,6 +208,81 @@ def test_without_scipy_stretch_runs_and_harness_exits_1(tmp_path):
     assert result.stdout.splitlines()[-1] == "0 1", result.stderr
     assert "pip install 'stretchkit[harness]'" in result.stderr
     assert read_wav(tmp_path / "out.wav").samples.size > 0
+
+
+# Run in a child process whose address space is capped at 2 GiB: reads every
+# seeded mutation of the three formats write_wav writes and prints, as JSON,
+# how many reads ended each way ("finite", an error class's name, or "other")
+# and the first "other" errors.
+MUTATION_CHILD = r"""
+import json, resource, struct, sys
+from collections import Counter
+from pathlib import Path
+import numpy as np
+from stretchkit.core import AudioBuffer
+from stretchkit.errors import AudioIOError, ConfigurationError
+from stretchkit.wavio import read_wav, write_wav
+
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+directory, per_format = sys.argv[1], int(sys.argv[2])
+rng = np.random.default_rng(22)
+outcomes, others = Counter(), []
+for depth in ("16", "24", "float32"):
+    path = f"{directory}/{depth}.wav"
+    write_wav(AudioBuffer(0.5 * rng.uniform(-1, 1, 101), 8000), path, depth)
+    original = Path(path).read_bytes()
+    # offsets of the 32-bit fields that size or count something: the RIFF
+    # size, each chunk's size, the rate and byte rate, float's sample count
+    fields, at = [4, 24, 28], 12
+    while at + 8 <= len(original):
+        name, size = struct.unpack_from("<4sI", original, at)
+        fields.append(at + 4)
+        if name == b"fact":
+            fields.append(at + 8)
+        at += 8 + size + size % 2
+    for _ in range(per_format):
+        data = bytearray(original)
+        kind = rng.integers(3)
+        if kind == 0:  # flip one to four bytes
+            for i in rng.integers(0, len(data), rng.integers(1, 5)):
+                data[i] ^= int(rng.integers(1, 256))
+        elif kind == 1:  # a size field at an extreme
+            value = (0, 1, 2**31 - 2, 2**32 - 1)[rng.integers(4)]
+            struct.pack_into("<I", data, fields[rng.integers(len(fields))], value)
+        else:  # truncated
+            data = data[: rng.integers(0, len(data))]
+        mutated = f"{directory}/mutated.wav"
+        Path(mutated).write_bytes(bytes(data))
+        try:
+            samples = read_wav(mutated).samples
+            outcome = "finite" if np.all(np.isfinite(samples)) else "not finite"
+        except (AudioIOError, ConfigurationError) as exc:
+            outcome = type(exc).__name__
+        except Exception as exc:
+            outcome = "other"
+            others.append(f"{depth} {kind}: {exc!r}")
+        outcomes[outcome] += 1
+print(json.dumps({"outcomes": outcomes, "others": others[:5]}))
+"""
+
+
+def test_seeded_wav_mutations_read_or_raise_contract_errors(tmp_path):
+    """Byte flips, size fields set to 0, 1, 2^31 - 2 or 2^32 - 1, and
+    truncations of 16-bit, 24-bit and float32 files: each read returns
+    finite samples or raises AudioIOError or ConfigurationError, under a
+    2 GiB address-space limit, so nothing allocates what a size field
+    claims before checking it."""
+    pytest.importorskip("resource")
+    src = str(Path(pipeline.__file__).resolve().parent.parent)
+    result = subprocess.run([sys.executable, "-c", MUTATION_CHILD, str(tmp_path), "200"],
+                            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                            timeout=120)
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout.splitlines()[-1])
+    counts = report["outcomes"]
+    assert sum(counts.values()) == 600, report
+    assert set(counts) <= {"finite", "AudioIOError", "ConfigurationError"}, report
+    assert counts["finite"] > 0 and counts["AudioIOError"] > 0, report
 
 
 def test_write_rejects_bad_depth(tmp_path):
