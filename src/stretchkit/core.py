@@ -33,7 +33,7 @@ from .errors import ConfigurationError
 TIME_AXIS = "time"
 FREQ_AXIS = "frequency"
 
-_MEDIAN_BLOCK = 1 << 16  # values per median chunk of whole lines and per sorted rank block
+_MEDIAN_BLOCK = 1 << 16  # values per median chunk of whole lines; a rank sort block holds 4x
 _NETWORK_MAX = 7  # longest median window a comparator network selects from
 # values per block of frames that the vocoder and the noise morph transform at
 # once, and that an STFT task windows at once (32 frames at 4096), so their
@@ -280,8 +280,12 @@ def divide_window_sum(out: np.ndarray, n_frames: int, win: np.ndarray, hop: int,
                   (out[stop:], ends[stop - len(out) :])]
     for part, wsum in pieces:
         divisor = np.maximum(wsum, floor)
-        np.divide(part, divisor, out=part, where=divisor > 0.0)
-        np.copyto(part, 0.0, where=divisor <= 0.0)
+        covered = divisor > 0.0
+        if covered.all():
+            np.divide(part, divisor, out=part)
+        else:  # samples no frame covers: at the ends, or where the hop is the window
+            np.divide(part, divisor, out=part, where=covered)
+            np.copyto(part, 0.0, where=~covered)
     return out
 
 
@@ -309,20 +313,26 @@ def median_filter_axis(mag: Spectrogram, axis: str, length: int) -> Spectrogram:
       chunk. It only moves values, so its middle output is the median.
     - longer: each line's values are replaced by their ranks in the line,
       np.argsort's order inverted (int16 for lines of at most 2**15
-      positions, else int32); each window's ranks are copied and sorted in
-      blocks of at most _MEDIAN_BLOCK values, and the line's value of the
-      middle rank is the median. Ranks keep the line's order exactly, equal
-      values included, so this is the k-th order statistic a float sort of
-      the window takes.
+      positions, else int32), and the line's value of a window's middle
+      rank is its median. Ranks keep the line's order exactly, equal values
+      included, so this is the k-th order statistic a float sort of the
+      window takes. Three adjacent windows share one sort, of the union of
+      their length + 2 ranks, in blocks of about 4 * _MEDIAN_BLOCK ranks:
+      an int16 row sorts in about the same time at any length from 65 to
+      128. Window j of the group leaves out two union ranks lo < hi (j = 0
+      the last two, j = 1 the first and the last, j = 2 the first two), and
+      its middle rank is S[half + (lo <= S[half]) + (hi <= S[half + 1])]
+      of the sorted union S, half = length // 2. This is exact: leaving out
+      sorted positions s0 < s1 moves the k-th survivor to
+      S[k + #{i : s_i - i <= k}], lo <= S[half] holds exactly when
+      s0 <= half and hi <= S[half + 1] when s1 - 1 <= half, and ranks are
+      distinct. A line's last one or two windows form a smaller group: with
+      one rank x left out the middle is S[half + (x <= S[half])], with none
+      S[half].
 
     So the output is bit-identical to sorting each window, for any thread
     count. The one exception is a median that ties -0.0 with +0.0, where
     either zero may come back; magnitudes from np.abs hold no -0.0.
-
-    The ranks cost more than a float sort of each window at 9 <= length
-    <= 25: up to about 1.4x on 2 s STN grids, on one CPU of an AVX-512
-    x86-64 machine. Only non-default median spans reach those lengths;
-    for_rate keeps the default ones at 5 and 7, and 69 to 95.
     """
     if length < 1 or length % 2 == 0:
         raise ConfigurationError(f"median length must be odd and positive, got {length}")
@@ -362,10 +372,20 @@ def median_filter_axis(mag: Spectrogram, axis: str, length: int) -> Spectrogram:
         buffers = [(np.empty((length + 1, rows, full)),) for _ in range(tasks)]
     else:
         rank_type = np.int16 if n <= 1 << 15 else np.int32
-        task = partial(_rank_medians, np.arange(n, dtype=rank_type)[None, :])
-        block = min(max(1, _MEDIAN_BLOCK // length), rows * full) * length
-        buffers = [(np.empty((rows, n), rank_type), np.empty((rows, full), rank_type),
-                    np.empty(block, rank_type)) for _ in range(tasks)]
+        # a block sorts groups of three windows, the same number on each
+        # line, at least one: at most about 4 * _MEDIAN_BLOCK union ranks and
+        # _MEDIAN_BLOCK / 4 windows, so its selection buffers stay smaller
+        groups = min(4 * _MEDIAN_BLOCK // (length + 2), _MEDIAN_BLOCK // 12)
+        step = min(max(1, groups // rows), -(-full // 3))
+        # flat positions of each line's start and each group's middle union rank
+        offsets = np.arange(rows)[:, None] * n
+        centers = (np.arange(rows * step) * (length + 2) + half).reshape(rows, step)
+        task = partial(_rank_medians, np.arange(n, dtype=rank_type)[None, :], offsets, centers)
+        windows = rows * step * 3
+        buffers = [(np.empty((rows, n), rank_type), np.empty((rows, step, length + 2), rank_type),
+                    np.empty((4, rows * step), rank_type), np.empty((2, windows), rank_type),
+                    np.empty(windows, bool), np.empty((2, windows), np.intp),
+                    np.empty(windows, rank_type), np.empty(windows)) for _ in range(tasks)]
     _parallel([edges, *(partial(task, data, out[:, half : n - half], chunks[i::tasks], *buffers[i])
                         for i in range(tasks))])
     return mag.copy_with(result)
@@ -426,28 +446,66 @@ def _network_medians(network: list, data: np.ndarray, out: np.ndarray, chunks: l
         out[rows] = wires[length // 2]
 
 
-def _rank_medians(positions: np.ndarray, data: np.ndarray, out: np.ndarray, chunks: list,
-                  ranks: np.ndarray, middles: np.ndarray, block: np.ndarray) -> None:
+def _rank_medians(positions: np.ndarray, offsets: np.ndarray, centers: np.ndarray,
+                  data: np.ndarray, out: np.ndarray, chunks: list, ranks: np.ndarray,
+                  union: np.ndarray, ends: np.ndarray, left_out: np.ndarray, flags: np.ndarray,
+                  indices: np.ndarray, middles: np.ndarray, values: np.ndarray) -> None:
     """Write the median of each full window of data's lines in chunks into
-    out: each line's values are ranked into ranks (positions' type), each
-    window's ranks are sorted in the front of block and its middle rank kept
-    in middles; the line's value of that rank is the median."""
+    out, by median_filter_axis's group rule. Each line's values are ranked
+    into ranks (positions' type); each group's union is sorted in a row of
+    union, up to union.shape[1] groups per line at a time. The ranks each
+    window leaves out go through ends into left_out, lower first; flags
+    mark those at or below the middle candidates, and indices take the
+    flat position of each middle rank (from centers) into middles, then of
+    its value (from offsets, the lines' starts) into values, then out."""
     length = data.shape[1] - out.shape[1] + 1
-    full = out.shape[1]
+    half, full = length // 2, out.shape[1]
+    step = union.shape[1]
+    groups = full // 3
+    blocks = [(p, min(step, groups - p // 3), 3) for p in range(0, 3 * groups, 3 * step)]
+    if full % 3:
+        blocks.append((3 * groups, 1, full % 3))
+    unions = {size: np.lib.stride_tricks.sliding_window_view(ranks, length + size - 1, axis=1)
+              for _, _, size in blocks}  # each position's next length + size - 1 ranks
     for rows in chunks:
         line = data[rows]
+        k = len(line)
         order = np.argsort(line, axis=1)
-        rank, middle = ranks[: len(line)], middles[: len(line)]
+        rank = ranks[:k]
         np.put_along_axis(rank, order, positions, axis=1)
-        windows = np.lib.stride_tricks.sliding_window_view(rank, length, axis=1)
-        step = max(1, block.size // (len(line) * length))
-        for p in range(0, full, step):
-            window = windows[:, p : p + step]
-            sorted_ = block[: window.size].reshape(window.shape)
-            np.copyto(sorted_, window)
+        order += offsets[:k]  # flat positions in line
+        for p, count, size in blocks:
+            spans = unions[size][:k, p : p + size * count : size]  # the groups' unions
+            shape = (size, k, count)  # window j of each group in plane j
+            cells = size * k * count
+            # window j leaves out the union ranks last[j : j + size - 1]: the
+            # union's last size - 1 - j ranks, then its first j
+            last = ends[: 2 * (size - 1), : k * count].reshape(-1, k, count)
+            np.copyto(last[: size - 1], spans[..., length:].transpose(2, 0, 1))
+            np.copyto(last[size - 1 :], spans[..., : size - 1].transpose(2, 0, 1))
+            left = [last]
+            if size == 3:
+                left = [part[:cells].reshape(shape) for part in left_out]
+                np.minimum(last[:3], last[1:], out=left[0])
+                np.maximum(last[:3], last[1:], out=left[1])
+            sorted_ = union[:k, :count, : spans.shape[2]]
+            np.copyto(sorted_, spans)
             sorted_.sort(axis=2)
-            middle[:, p : p + step] = sorted_[..., length // 2]
-        out[rows] = np.take_along_axis(line, np.take_along_axis(order, middle, axis=1), axis=1)
+            at_middle, at_value = (part[:cells].reshape(shape) for part in indices)
+            np.copyto(at_middle, centers[:k, :count])
+            below = flags[:cells].reshape(shape)
+            for i, rank_left in enumerate(left[: size - 1]):  # + (lo <= S[half]) + (hi <= S[half + 1])
+                np.less_equal(rank_left, sorted_[..., half + i], out=below)
+                np.add(at_middle, below, out=at_middle)
+            middle = middles[:cells].reshape(shape)
+            np.take(union, at_middle, out=middle, mode="clip")
+            np.add(middle, offsets[:k], out=at_middle)
+            np.take(order, at_middle, out=at_value, mode="clip")
+            got = values[:cells].reshape(shape)
+            np.take(line, at_value, out=got, mode="clip")
+            for j in range(size):
+                out[rows, p + j : p + size * count : size] = got[j]
+        del order  # before the next chunk's argsort
 
 
 def _row_slices(rows: int, width: int) -> list:

@@ -103,9 +103,10 @@ def saturating_mask(a, thresholds: StnThresholds):
     """
     a = np.asarray(a, dtype=np.float64)
     bu, bl = thresholds.beta_u, thresholds.beta_l
-    t = (a - bl) / (bu - bl)
-    mid = np.sin(0.5 * np.pi * np.clip(t, 0.0, 1.0)) ** 2
-    out = np.where(a >= bu, 1.0, np.where(a >= bl, mid, 0.0))
+    out = np.where(a >= bu, 1.0, 0.0)
+    band = (a >= bl) & (a < bu)  # the only values the sine is computed for
+    t = (a[band] - bl) / (bu - bl)  # in [0, 1], as rounding keeps order
+    out[band] = np.sin(0.5 * np.pi * t) ** 2
     return out if out.ndim else float(out)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import multiprocessing
 import os
 import subprocess
@@ -455,8 +456,9 @@ def test_median_filter_small_blocks_match_truncated_np_median(monkeypatch, shape
     ax = 0 if axis == "time" else 1
     n = shape[ax]
     switch = core._NETWORK_MAX + 2  # the shortest window the ranks serve
-    lengths = [1, 3, 5, 7, 9, 63, 65, n - 2, n, n + 2, 2 * n + 1, 2 * n + 5,
-               switch - 2, switch, switch + 2]
+    # n - 1 - r: 2 + r full windows, so lines whose count is 0, 1 and 2 mod 3
+    lengths = [1, 3, 5, 7, 9, 63, 65, n, n + 2, 2 * n + 1, 2 * n + 5,
+               switch - 2, switch, switch + 2, *(n - 1 - r for r in range(6))]
     for length in sorted({k | 1 for k in lengths if k > 0}):
         got = median_filter_axis(mag_spec(values), axis, length).values
         assert np.array_equal(got, truncated_median(values, ax, length)), length
@@ -472,6 +474,35 @@ def test_median_network_selects_median_of_every_0_1_input(length, comparators):
     bits = (np.arange(2**length)[:, None] >> np.arange(length)) & 1
     got = median_filter_axis(mag_spec(bits), "frequency", length).values[:, length // 2]
     assert np.array_equal(got, np.sort(bits, axis=1)[:, length // 2])
+
+
+@pytest.mark.parametrize("length", [9, 69, 95, 121])
+def test_rank_median_group_rule_every_left_out_position(length):
+    """Lines of one group of windows: three over length + 2 values and two
+    over length + 1. Window j of three leaves out the last two union
+    positions (j = 0), the first and the last (j = 1) or the first two
+    (j = 2); window j of two the last (j = 0) or the first (j = 1). For each
+    window j, the ranks it leaves out take every set of sorted positions, in
+    every order, the other ranks a random order: each window's median is
+    its sorted middle, a complete check of the group rule at this length."""
+    rng = np.random.default_rng(length)
+    half = length // 2
+    for size in (3, 2):
+        width = length + size - 1
+        for j in range(size):
+            left = [*range(j), *range(length + j, width)]
+            kept = [i for i in range(width) if i not in left]
+            sets = np.array(list(itertools.combinations(range(width), size - 1)))
+            sets = np.concatenate([sets, sets[:, ::-1]]) if size == 3 else sets
+            rest = np.ones((len(sets), width), bool)
+            rest[np.arange(len(sets))[:, None], sets] = False
+            values = np.empty((len(sets), width))
+            values[:, left] = sets
+            values[:, kept] = rng.permuted(np.nonzero(rest)[1].reshape(len(sets), -1), axis=1)
+            got = median_filter_axis(mag_spec(values), "frequency", length).values
+            for i in range(size):
+                expected = np.sort(values[:, i : i + length], axis=1)[:, half]
+                assert np.array_equal(got[:, half + i], expected), (size, j, i)
 
 
 @pytest.mark.parametrize("n", [2**15, 2**15 + 1])

@@ -41,6 +41,35 @@ def test_saturating_mask_monotone_grid():
         assert grid.min() == 0.0 and grid.max() == 1.0
 
 
+def whole_grid_saturating_mask(a, thresholds):
+    """The mask with the sine computed over every value, not only in band."""
+    a = np.asarray(a, dtype=np.float64)
+    bu, bl = thresholds.beta_u, thresholds.beta_l
+    t = (a - bl) / (bu - bl)
+    mid = np.sin(0.5 * np.pi * np.clip(t, 0.0, 1.0)) ** 2
+    return np.where(a >= bu, 1.0, np.where(a >= bl, mid, 0.0))
+
+
+def test_saturating_mask_equals_whole_grid_formula():
+    """300 random threshold pairs and the stage defaults, on random ratios
+    and on values at and next to both thresholds: the same bytes as the
+    sine over the whole grid. A scalar gives a float, the value an array
+    holding it gets (numpy's scalar ** 2 can round the square differently)."""
+    rng = np.random.default_rng(3)
+    pairs = [np.sort(rng.uniform(0.0, 1.0, 2)) for _ in range(300)]
+    pairs = [StnThresholds(bu, bl) for bl, bu in pairs if 0.0 < bu and bl < bu]
+    for thr in (STAGE1_THRESHOLDS, STAGE2_THRESHOLDS, *pairs):
+        edges = [np.nextafter(b, to) for b in (thr.beta_l, thr.beta_u) for to in (0.0, 2.0)]
+        a = np.concatenate([rng.uniform(0.0, 1.0, 2000), [thr.beta_l, thr.beta_u, 0.0, 1.0],
+                            edges])
+        got = saturating_mask(a.reshape(-1, 4), thr)
+        assert got.tobytes() == whole_grid_saturating_mask(a.reshape(-1, 4), thr).tobytes()
+        for x in (thr.beta_l, thr.beta_u, *edges, 0.5 * (thr.beta_l + thr.beta_u)):
+            value = saturating_mask(x, thr)
+            assert type(value) is float
+            assert value == whole_grid_saturating_mask(np.array([x]), thr)[0]
+
+
 def test_thresholds_validation():
     with pytest.raises(ConfigurationError):
         StnThresholds(beta_u=0.7, beta_l=0.8)
