@@ -71,9 +71,11 @@ def parse_config_file(path: Path) -> dict:
     """Flat key=value lines into a {dotted key: string} dict."""
     values = {}
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise AudioIOError(f"cannot read config {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config {path} is not UTF-8 text: {exc}")
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:

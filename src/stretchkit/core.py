@@ -8,12 +8,14 @@ signal, with no padded copy; a stage's array of starts is its time map.
 FRAME_BLOCK values (`frame_blocks`) into one buffer, and `divide_window_sum`
 divides the sum by the overlap-added squared window, built from one hop.
 
-Threads start only in `dealer` (and `_parallel` on it), at most one per CPU
-in the process's affinity, joined before the call returns. Rows and blocks
-are computed on their own, and every overlap-add and every step that
-carries state from one frame to the next stays on the calling thread in
-frame order, so all outputs are bit-identical for any thread count; no
-setting changes the count.
+Threads start only in `dealer`: one worker per CPU in the process's
+affinity beyond the calling thread's, joined before the call returns. The
+STFT, the ISTFT, the vocoder and the noise morph deal their frame blocks
+through it, and the median its line tasks. Rows and blocks are computed on
+their own, and every overlap-add and every step that carries state from one
+frame to the next stays on the calling thread in frame order, so all
+outputs are bit-identical for any thread count; no setting changes the
+count.
 """
 
 from __future__ import annotations
@@ -35,14 +37,9 @@ FREQ_AXIS = "frequency"
 
 _MEDIAN_BLOCK = 1 << 16  # values per median chunk of whole lines; a rank sort block holds 4x
 _NETWORK_MAX = 7  # longest median window a comparator network selects from
-# values per block of frames that the vocoder and the noise morph transform at
-# once, and that an STFT task windows at once (32 frames at 4096), so their
-# memory does not grow with the output
+# values per block of frames that every transform windows or inverts at once
+# (32 frames at 4096), so its memory does not grow with the output
 FRAME_BLOCK = 1 << 17
-# frame values from which a transform runs on worker threads: a smaller one
-# takes a few milliseconds, and starting and joining a thread (up to about
-# 1 ms) would eat much of what the thread saves
-_THREADED_MIN = 1 << 20
 # peak |sample| accepted from a caller; every stage stays finite far above it
 MAX_AMPLITUDE = 1e100
 # longest output, just above what a 32-bit RIFF size field allows as float32
@@ -183,16 +180,15 @@ def stft(signal: AudioBuffer, params: StftParams, pad: int = 0) -> Spectrogram:
     values = np.empty((m, params.n_bins), dtype=np.complex128)
     starts = np.arange(m) * h - pad
     win = params.window()
-    block = max(1, FRAME_BLOCK // w)
 
-    def transform(rows, windowed):
-        for r0 in range(rows.start, rows.stop, block):
-            r1 = min(r0 + block, rows.stop)
-            frames_at(x, starts[r0:r1], win, windowed[: r1 - r0])
-            np.fft.rfft(windowed[: r1 - r0], axis=1, out=values[r0:r1])
+    def transform(block):  # on a dealt thread
+        b0, b1 = block
+        np.fft.rfft(frames_at(x, starts[b0:b1], win, np.empty((b1 - b0, w))), axis=1,
+                    out=values[b0:b1])
 
-    _parallel([partial(transform, rows, np.empty((min(block, rows.stop - rows.start), w)))
-               for rows in _row_slices(m, w)])
+    with dealer() as deal:
+        for _ in deal(transform, frame_blocks(m, w)):
+            pass
     return Spectrogram(values, w, h, signal.sample_rate)
 
 
@@ -247,17 +243,21 @@ def istft(spec: Spectrogram) -> AudioBuffer:
     spans the (M-1)*hop + window samples its frames cover. Round-trips
     istft(stft(x)) exactly wherever the accumulated squared window is nonzero.
     """
-    w, h = spec.window_size, spec.hop_size
+    w, h, m = spec.window_size, spec.hop_size, spec.n_frames
     win = StftParams(w, h).window()
-    frames = np.empty((spec.n_frames, w))
+    out = np.zeros((m - 1) * h + w if m else 0)
+    blocks = frame_blocks(m, w)
 
-    def transform(rows):
-        np.fft.irfft(spec.values[rows], n=w, axis=1, out=frames[rows])
-        frames[rows] *= win
+    def transform(block):  # on a dealt thread
+        b0, b1 = block
+        frames = np.fft.irfft(spec.values[b0:b1], n=w, axis=1)
+        frames *= win
+        return frames
 
-    _parallel([partial(transform, rows) for rows in _row_slices(spec.n_frames, w)])
-    out = divide_window_sum(overlap_add(frames, h), spec.n_frames, win, h)
-    return AudioBuffer(out, spec.sample_rate)
+    with dealer() as deal:
+        for (b0, b1), frames in zip(blocks, deal(transform, blocks)):
+            overlap_add(frames, h, out=out[b0 * h : (b1 - 1) * h + w])
+    return AudioBuffer(divide_window_sum(out, m, win, h), spec.sample_rate)
 
 
 def divide_window_sum(out: np.ndarray, n_frames: int, win: np.ndarray, hop: int,
@@ -304,9 +304,9 @@ def median_filter_axis(mag: Spectrogram, axis: str, length: int) -> Spectrogram:
     invented. length must be odd and positive; values must be finite.
 
     Full windows take one of two exact rules, chosen from length, on chunks
-    of whole lines of about _MEDIAN_BLOCK values, split among the worker
-    threads of _parallel while the calling thread sorts the truncated edge
-    windows, one position at a time:
+    of whole lines of about _MEDIAN_BLOCK values, split into at most one
+    task per CPU that dealer deals; task 0, on the calling thread, first
+    sorts the truncated edge windows, one position at a time:
 
     - length <= _NETWORK_MAX: the comparator network of _median_network,
       applied with np.minimum/np.maximum to the length shifted slices of a
@@ -386,8 +386,16 @@ def median_filter_axis(mag: Spectrogram, axis: str, length: int) -> Spectrogram:
                     np.empty((4, rows * step), rank_type), np.empty((2, windows), rank_type),
                     np.empty(windows, bool), np.empty((2, windows), np.intp),
                     np.empty(windows, rank_type), np.empty(windows)) for _ in range(tasks)]
-    _parallel([edges, *(partial(task, data, out[:, half : n - half], chunks[i::tasks], *buffers[i])
-                        for i in range(tasks))])
+
+    def work(i):  # task i; task 0 on the calling thread, also with no chunks
+        if i == 0:
+            edges()
+        if i < tasks:
+            task(data, out[:, half : n - half], chunks[i::tasks], *buffers[i])
+
+    with dealer() as deal:
+        for _ in deal(work, range(max(tasks, 1))):
+            pass
     return mag.copy_with(result)
 
 
@@ -508,30 +516,12 @@ def _rank_medians(positions: np.ndarray, offsets: np.ndarray, centers: np.ndarra
         del order  # before the next chunk's argsort
 
 
-def _row_slices(rows: int, width: int) -> list:
-    """[0, rows) in consecutive slices, one per task, each transformed in one
-    FFT call: a single slice below _THREADED_MIN values of that width, else
-    one per CPU, at most one per row."""
-    tasks = 1 if rows * width < _THREADED_MIN else min(rows, _cpu_count())
-    return [slice(rows * i // tasks, rows * (i + 1) // tasks) for i in range(tasks)]
-
-
-def _parallel(tasks: list) -> None:
-    """Run each task (a callable taking no arguments): the first on the
-    calling thread, each other one on a worker thread started for this call
-    and joined before it returns. Re-raises the first error. Tasks must write
-    disjoint outputs; buffers they need come from the caller."""
-    with dealer(len(tasks) - 1) as deal:
-        for _ in deal(lambda task: task(), tasks):
-            pass
-
-
 @contextmanager
-def dealer(workers: int | None = None):
+def dealer():
     """A pool of worker threads for one call, joined when the block exits,
     also when its body raises (items not yet started are then dropped).
-    There are `workers` of them, by default one per CPU beyond the calling
-    thread's (_cpu_count() - 1); threads start only when an item is dealt.
+    There is one per CPU beyond the calling thread's (_cpu_count() - 1);
+    threads start only when an item is dealt.
 
     Yields deal(fn, items), a generator of fn(item) for each item, in item
     order. Items are dealt in rounds to the calling thread and to each
@@ -540,8 +530,7 @@ def dealer(workers: int | None = None):
     what other items write; what needs the previous item's result belongs
     to the consumer, which runs on the calling thread.
     """
-    if workers is None:
-        workers = _cpu_count() - 1
+    workers = _cpu_count() - 1
     if workers < 1:
         yield map
         return

@@ -51,11 +51,12 @@ class TransientEvent:
 
 
 def _rms_envelope(x: np.ndarray, frame: int, hop: int) -> np.ndarray:
-    if len(x) < frame:
-        x = np.pad(x, (0, frame - len(x)))
+    """RMS of the frames of x at starts 0, hop, ...; an x shorter than one
+    frame gives one value, as if zero-padded, with no padded copy."""
     csum = np.concatenate([[0.0], np.cumsum(x**2)])
-    starts = np.arange(0, len(x) - frame + 1, hop)
-    return np.sqrt((csum[starts + frame] - csum[starts]) / frame)
+    starts = np.arange(0, max(len(x) - frame, 0) + 1, hop)
+    ends = np.minimum(starts + frame, len(x))
+    return np.sqrt((csum[ends] - csum[starts]) / frame)
 
 
 def _raised_cosine_fades(segment: np.ndarray, fade_in: int, fade_out: int) -> np.ndarray:

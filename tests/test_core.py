@@ -277,9 +277,9 @@ def test_divide_window_sum_equals_whole_sum_division(window, hop):
             assert result.tobytes() == expected.tobytes(), (n, floor)
 
 
-# (samples, window, hop): inline and threaded shapes, two of them either side
-# of _THREADED_MIN = 2^20 frame values (1023 and 1024 frames of 1024), and the
-# four 48 kHz sizes of StretchConfig.for_rate, two with odd hops
+# (samples, window, hop): one frame block and several, two shapes either side
+# of 2^20 frame values (1023 and 1024 frames of 1024), and the four 48 kHz
+# sizes of StretchConfig.for_rate, two with odd hops
 TRANSFORM_SHAPES = [
     (20000, 512, 128), (100000, 8916, 2230), (1023 * 1024, 1024, 1024),
     (1024 * 1024, 1024, 1024), (300000, 4096, 1024), (480000, 558, 140),
@@ -293,11 +293,8 @@ def test_transforms_same_bytes_for_any_thread_count(monkeypatch, n, window, hop)
     x = white(n, seed=n)
     expected = stft_reference(x.samples, params)
     expected_out = istft_reference(expected, params)
-    m = core.n_frames_for(n, params)
     for cpus in (1, 2, 3, 7):
         monkeypatch.setattr(core, "_cpu_count", lambda: cpus)
-        threaded = m * window >= core._THREADED_MIN and cpus > 1
-        assert (len(core._row_slices(m, window)) > 1) == threaded
         spec = stft(x, params)
         assert spec.values.tobytes() == expected.tobytes(), cpus
         assert istft(spec).samples.tobytes() == expected_out.tobytes(), cpus
@@ -305,8 +302,8 @@ def test_transforms_same_bytes_for_any_thread_count(monkeypatch, n, window, hop)
 
 
 def test_transforms_concurrent_callers_same_bytes(monkeypatch):
-    # every call threaded, by more workers than CPUs
-    monkeypatch.setattr(core, "_THREADED_MIN", 1)
+    # every call dealt in many blocks, to more workers than CPUs
+    monkeypatch.setattr(core, "FRAME_BLOCK", 8 * 512)
     monkeypatch.setattr(core, "_cpu_count", lambda: 3)
     params = StftParams(512, 128)
     x = white(40000, seed=9)
@@ -606,10 +603,9 @@ def test_block_pipeline_one_cpu_subprocess_same_bytes():
 
 @pytest.mark.parametrize("window,hop", [(2048, 1024), (4096, 1024)])
 def test_stft_peak_is_spectrum_plus_sub_blocks(monkeypatch, window, hop):
-    """Each task windows its rows in sub-blocks of at most FRAME_BLOCK values
-    (1 MiB), read from the input in place: no copy the size of the
-    spectrogram's real part and no padded copy of the input; the 4096
-    window reaches _THREADED_MIN and runs on two tasks."""
+    """Each dealt block windows at most FRAME_BLOCK values (1 MiB), read from
+    the input in place: no copy the size of the spectrogram's real part and
+    no padded copy of the input, with two blocks in flight."""
     monkeypatch.setattr(core, "_cpu_count", lambda: 2)
     x = white(441000)
     tracemalloc.start()
@@ -619,6 +615,24 @@ def test_stft_peak_is_spectrum_plus_sub_blocks(monkeypatch, window, hop):
     finally:
         tracemalloc.stop()
     assert peak <= spec.values.nbytes + 3 * 2**20
+
+
+def test_istft_peak_is_output_plus_blocks(monkeypatch):
+    """The 10 s 44.1 kHz stage-2 grid (3451 x 257) inverts block by block
+    into the output: no frame array the size of the grid, just the blocks
+    in flight (the caller's, the worker's and the one being added)."""
+    monkeypatch.setattr(core, "_cpu_count", lambda: 2)
+    rng = np.random.default_rng(4)
+    spec = Spectrogram(rng.standard_normal((3451, 257)) + 1j * rng.standard_normal((3451, 257)),
+                       512, 128, SR)
+    tracemalloc.start()
+    try:
+        out = istft(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(out) == 3450 * 128 + 512
+    assert peak <= out.samples.nbytes + 4 * core.FRAME_BLOCK * 8
 
 
 def _median_digest_into(queue):

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -331,6 +332,27 @@ def test_traced_names_run_on_the_calling_thread(monkeypatch):
     caller = {threading.get_ident()}
     assert threads["find_peaks"] == threads["generate_excitation"] == caller
     assert len(threads["lerp_frames"] - caller) > 0
+    assert not live_workers()
+
+
+def test_nm_call_opens_at_most_one_worker_per_further_cpu(monkeypatch):
+    """Every pool an nm call opens, for its transforms, medians, vocoder and
+    noise morph, holds at most one worker per CPU beyond the calling
+    thread's, for 2 and 3 CPUs."""
+    sizes = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(core, "ThreadPoolExecutor", RecordingPool)
+    x = gen_signal("click_plus_hiss", 2.0)
+    for cpus in (2, 3):
+        monkeypatch.setattr(core, "_cpu_count", lambda: cpus)
+        sizes.clear()
+        stretch(x, StretchConfig(alpha=2.0, mode="nm"))
+        assert sizes and max(sizes) <= core._cpu_count() - 1, (cpus, sizes)
     assert not live_workers()
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from stretchkit.errors import ConfigurationError
 from stretchkit.signals import click_times, gen_signal
 from stretchkit.transients import (
     TransientDetectParams,
+    _rms_envelope,
     detect_events,
     onsets_csv_rows,
     reposition_events,
@@ -17,6 +20,24 @@ SR = 44100
 def test_silence_gives_no_events():
     assert detect_events(AudioBuffer(np.zeros(SR), SR)) == []
     assert detect_events(AudioBuffer(np.zeros(0), SR)) == []
+
+
+def test_frame_longer_than_input():
+    """One envelope value, the zero-padded frame's, from the input's own
+    cumulative sum: a frame of 1e9 s (4.4e13 samples) allocates nothing of
+    its length."""
+    x = gen_signal("click_train", 1.0)
+    padded = np.pad(x.samples[:100], (0, 50))
+    expected = np.sqrt(np.cumsum(padded**2)[-1:] / 150)
+    assert _rms_envelope(x.samples[:100], 150, 10).tobytes() == expected.tobytes()
+    tracemalloc.start()
+    try:
+        events = detect_events(x, TransientDetectParams(frame_s=1e9))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert events == []
+    assert peak <= 4 * 2**20
 
 
 def test_single_impulse_detected():

@@ -437,6 +437,11 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert "configuration error:" in err, line
         # the message names the field it rejects
         assert line.split("=")[0].strip().split(".")[-1] in err, err
+    cfg.write_bytes("alpha = 2\n# d\u00e9j\u00e0 vu\n".encode("latin-1"))  # not UTF-8
+    capsys.readouterr()
+    assert main([str(inp), str(out), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and str(cfg) in err, err
 
 
 @pytest.mark.parametrize("mode", ["nm", "an"])
@@ -460,6 +465,18 @@ def test_cli_rejects_rate_with_huge_windows(tmp_path, capsys):
     assert time.perf_counter() - started < 10.0
     err = capsys.readouterr().err
     assert err.startswith("configuration error: sample rate 4294967295 Hz:"), err
+
+
+def test_cli_transient_frame_longer_than_any_input(tmp_path):
+    """transient.frame_s = 1e9 (4.4e13 samples): detection reads one
+    envelope value, with no zero-padded copy of the frame's length."""
+    inp = write_input(tmp_path)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("transient.frame_s = 1e9\n")
+    stems = tmp_path / "stems"
+    assert main([str(inp), str(tmp_path / "out.wav"), "--alpha", "2", "--config", str(cfg),
+                 "--stems", str(stems)]) == 0
+    assert len(list(stems.glob("*.wav"))) == 6
 
 
 def test_cli_validates_scaled_config(tmp_path):
