@@ -132,15 +132,21 @@ def run(args) -> int:
     if branches is None and (args.stems or args.onsets):
         log.warning("--stems/--onsets are only meaningful for nm/ni modes; ignored")
     if branches is not None and args.stems:
-        args.stems.mkdir(parents=True, exist_ok=True)
+        try:
+            args.stems.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise AudioIOError(f"cannot create stems directory {args.stems}: {exc}")
         for name in ("sines", "transients", "noise"):
             for stem, source in ((name, branches.components), (f"{name}_stretched", branches)):
                 write_wav(getattr(source, name), args.stems / f"{stem}.wav", args.bit_depth)
     if branches is not None and args.onsets:
-        with open(args.onsets, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["input_sample", "output_sample"])
-            writer.writerows(onsets_csv_rows(branches.events, config.alpha))
+        try:
+            with open(args.onsets, "w", newline="") as f:
+                writer = csv.writer(f)
+                writer.writerow(["input_sample", "output_sample"])
+                writer.writerows(onsets_csv_rows(branches.events, config.alpha))
+        except OSError as exc:
+            raise AudioIOError(f"cannot write onsets {args.onsets}: {exc}")
 
     write_wav(out, args.output, args.bit_depth)
     print(

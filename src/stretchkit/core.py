@@ -1,12 +1,13 @@
 """STFT/ISTFT engine, window handling, and axis-wise median filtering.
 
 Spectra are one-sided (K = window/2 + 1 bins), in 64-bit floats. Every stage
-frames by one rule and normalizes by one division. `frames_at` windows the
+frames by one rule and synthesizes by one function. `frames_at` windows the
 frames that start at given sample positions, reading zeros outside the
 signal, with no padded copy; a stage's array of starts is its time map.
-`overlap_add` sums frames in frame order, block after block of at most
-FRAME_BLOCK values (`frame_blocks`) into one buffer, and `divide_window_sum`
-divides the sum by the overlap-added squared window, built from one hop.
+`synthesize` serves the ISTFT, the vocoder and the noise morph: it inverts
+and windows blocks of at most FRAME_BLOCK values (`frame_blocks`), sums them
+in frame order into one buffer (`overlap_add`), and divides the sum by the
+overlap-added squared window, built from one hop (`divide_window_sum`).
 
 Threads start only in `dealer`: one worker per CPU in the process's
 affinity beyond the calling thread's, joined before the call returns. The
@@ -244,20 +245,31 @@ def istft(spec: Spectrogram) -> AudioBuffer:
     istft(stft(x)) exactly wherever the accumulated squared window is nonzero.
     """
     w, h, m = spec.window_size, spec.hop_size, spec.n_frames
-    win = StftParams(w, h).window()
-    out = np.zeros((m - 1) * h + w if m else 0)
-    blocks = frame_blocks(m, w)
+    with dealer() as deal:
+        out = synthesize(deal, lambda block: spec.values[block[0] : block[1]],
+                         frame_blocks(m, w), m, StftParams(w, h).window(), h)
+    return AudioBuffer(out, spec.sample_rate)
 
-    def transform(block):  # on a dealt thread
-        b0, b1 = block
-        frames = np.fft.irfft(spec.values[b0:b1], n=w, axis=1)
+
+def synthesize(deal, spectrum, items, n_frames: int, win: np.ndarray, hop: int,
+               floor: float = 0.0) -> np.ndarray:
+    """n_frames one-sided spectra inverted, windowed by win (W values), laid
+    hop apart, overlap-added and divided by divide_window_sum with floor: the
+    (n_frames-1)*hop + W samples, none for no frames. Item i of items is for
+    block i of frame_blocks(n_frames, W): on a thread a dealer's deal deals
+    it to, spectrum(item) gives the block's spectra, inverted and windowed
+    there; the calling thread adds the blocks in frame order."""
+    w = len(win)
+    out = np.zeros((n_frames - 1) * hop + w if n_frames else 0)
+
+    def invert(item):  # on a dealt thread
+        frames = np.fft.irfft(spectrum(item), n=w, axis=1)
         frames *= win
         return frames
 
-    with dealer() as deal:
-        for (b0, b1), frames in zip(blocks, deal(transform, blocks)):
-            overlap_add(frames, h, out=out[b0 * h : (b1 - 1) * h + w])
-    return AudioBuffer(divide_window_sum(out, m, win, h), spec.sample_rate)
+    for (b0, b1), frames in zip(frame_blocks(n_frames, w), deal(invert, items)):
+        overlap_add(frames, hop, out=out[b0 * hop : (b1 - 1) * hop + w])
+    return divide_window_sum(out, n_frames, win, hop, floor)
 
 
 def divide_window_sum(out: np.ndarray, n_frames: int, win: np.ndarray, hop: int,
@@ -344,10 +356,11 @@ def median_filter_axis(mag: Spectrogram, axis: str, length: int) -> Spectrogram:
         return mag.copy_with(values.copy())
     if not np.all(np.isfinite(values)):
         raise ConfigurationError("median filter input must be finite")
-    half = length // 2
     result = np.empty_like(values)
     out = np.moveaxis(result, ax, 1)  # lines x positions, a view of result
     lines, n = out.shape
+    length = min(length, 2 * n - 1)  # a longer window covers the line at every position too
+    half = length // 2
     data = np.ascontiguousarray(np.moveaxis(values, ax, 1))  # each line contiguous
 
     def edges():

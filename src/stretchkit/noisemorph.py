@@ -3,7 +3,8 @@
 A white-noise excitation of the output length is analysed with the noise's
 window and hop. Its frame m takes the noise's log-magnitude spectrogram at
 input frame position m/alpha, linearly interpolated between frames, and
-those magnitudes modulate its bins. Because the excitation is a single
+those magnitudes modulate its bins; core.synthesize inverts, overlap-adds
+and divides the morphed frames. Because the excitation is a single
 time-domain signal, overlapping synthesis frames stay perfectly correlated
 and the result is free of frame-rate artifacts. core.frames_at reads its
 frames in place at starts (m - ceil(window/hop)) * hop, the time map.
@@ -28,13 +29,12 @@ from .core import (
     check_alpha,
     check_seed,
     dealer,
-    divide_window_sum,
     frame_blocks,
     frames_at,
     n_frames_for,
     output_length,
-    overlap_add,
     stft,
+    synthesize,
     window_energy,
 )
 # Only the benchmark tracer (perfbench/spans.py) needs the next name here: it patches
@@ -158,10 +158,10 @@ def stretch_noise(
     noise's frames, so the input's last frames reach the output's end.
 
     The noise's log-magnitude grid is input-sized and computed whole. The
-    excitation's frames go through in blocks of at most core.FRAME_BLOCK
-    values (a constant, not a setting) dealt by core.dealer, so the output's
-    bits do not depend on the block size or the thread count, and the peak
-    memory is the excitation, the output and the blocks in flight.
+    excitation's frames are morphed and go through core.synthesize in blocks
+    of at most core.FRAME_BLOCK values, so the output's bits do not depend
+    on the block size or the thread count, and the peak memory is the
+    excitation, the output and the blocks in flight.
     """
     if params is None:
         params = NoiseMorphParams()
@@ -189,21 +189,13 @@ def stretch_noise(
     win, energy = sp.window(), window_energy(sp)
     shape = morph if variant == VARIANT_MULTIPLY else morph_replace
 
-    out = np.zeros((n_frames - 1) * h + w)
-    blocks = frame_blocks(n_frames, w)
-
-    def synthesize(block):  # on a dealt thread
+    def spectrum(block):  # on a dealt thread, with its inverse: each thread holds a block
         b0, b1 = block
         spec = np.fft.rfft(frames_at(excitation, starts[b0:b1], win, np.empty((b1 - b0, w))),
                            axis=1)
-        spec /= energy  # in place, as the window multiply below: each thread holds a block
-        morphed = shape(lerp_frames(logmag, positions[b0:b1]), Spectrogram(spec, w, h, rate))
-        synth = np.fft.irfft(morphed.values, n=w, axis=1)
-        synth *= win
-        return synth
+        spec /= energy  # in place
+        return shape(lerp_frames(logmag, positions[b0:b1]), Spectrogram(spec, w, h, rate)).values
 
     with dealer() as deal:
-        for (b0, b1), synth in zip(blocks, deal(synthesize, blocks)):
-            overlap_add(synth, h, out=out[b0 * h : (b1 - 1) * h + w])
-    divide_window_sum(out, n_frames, win, h)
+        out = synthesize(deal, spectrum, frame_blocks(n_frames, w), n_frames, win, h)
     return AudioBuffer(out[pad : pad + out_length], rate)

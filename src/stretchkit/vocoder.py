@@ -6,14 +6,14 @@ frequency estimate uses the actual distance between starts, so rounding
 does not bias it. Phase locking keeps vertical phase coherence: the analysis
 spectrum is turned by one rotation per spectral peak's region of influence,
 so phases are taken only at peak bins; without it every bin propagates on
-its own (the plain vocoder, the quality anchor). The sum is divided by core.divide_window_sum
-above the floor _clamp_level.
+its own (the plain vocoder, the quality anchor). core.synthesize inverts,
+overlap-adds and divides the synthesis spectra, floored at _clamp_level.
 
 Frames run in blocks of at most core.FRAME_BLOCK values (a constant, not a
 setting). Analysis and synthesis run on the threads core.dealer deals blocks
-to; the chain that carries the phase from frame to frame (peak picking and
-rotation, or the plain running sum) and the overlap-add run on the calling
-thread in block order, so the output is bit-identical for any thread count.
+to; the phase chain from frame to frame (peak picking and rotation, or the
+plain running sum) and synthesize's overlap-add run on the calling thread
+in block order, so the output is bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -27,12 +27,12 @@ from .core import (
     StftParams,
     check_alpha,
     dealer,
-    divide_window_sum,
     frame_blocks,
     frames_at,
     n_frames_for,
     output_length,
     overlap_add,
+    synthesize,
 )
 from .errors import ConfigurationError
 
@@ -122,7 +122,6 @@ def _pv_stretch(signal: AudioBuffer, alpha: float, pv: PvParams | None,
     starts = np.rint(np.arange(n_syn) * synth_hop / alpha).astype(int)
     dts = np.maximum(np.diff(starts, prepend=starts[0]), 1)
 
-    out = np.zeros((n_syn - 1) * synth_hop + window_size)
     blocks = frame_blocks(n_syn, window_size)
 
     def analyse(block):  # on a dealt thread
@@ -140,16 +139,10 @@ def _pv_stretch(signal: AudioBuffer, alpha: float, pv: PvParams | None,
                 *parts, dts[b0:b1], omega, synth_hop, state)
             yield synth
 
-    def synthesize(synth):  # on a dealt thread
-        spectrum = synth if locked else _polar(*synth)
-        return np.fft.irfft(spectrum, n=window_size, axis=1) * win
-
+    spectrum = (lambda synth: synth) if locked else (lambda synth: _polar(*synth))
     with dealer() as deal:
-        for (b0, b1), synth in zip(blocks, deal(synthesize, chain(deal(analyse, blocks)))):
-            overlap_add(synth, synth_hop,
-                        out=out[b0 * synth_hop : (b1 - 1) * synth_hop + window_size])
-
-    divide_window_sum(out, n_syn, win, synth_hop, _clamp_level(n_syn, win, synth_hop))
+        out = synthesize(deal, spectrum, chain(deal(analyse, blocks)), n_syn, win, synth_hop,
+                         _clamp_level(n_syn, win, synth_hop))
     return AudioBuffer(out[:out_length], signal.sample_rate)
 
 

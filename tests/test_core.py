@@ -277,6 +277,33 @@ def test_divide_window_sum_equals_whole_sum_division(window, hop):
             assert result.tobytes() == expected.tobytes(), (n, floor)
 
 
+@pytest.mark.parametrize("window,hop", [(64, 16), (37, 11), (48, 48), (5, 5), (1, 1)])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_synthesize_equals_frame_loop_and_whole_sum_division(monkeypatch, window, hop, cpus):
+    """Blocks of 3 frames dealt to 1-3 threads, 0, 1 and more than a block
+    of random spectra, floor 0 and a positive floor: the bytes of a frame
+    loop's overlap-add of every windowed inverse, divided by the whole
+    overlap-added squared window where that is positive."""
+    monkeypatch.setattr(core, "FRAME_BLOCK", 3 * window)
+    monkeypatch.setattr(core, "_cpu_count", lambda: cpus)
+    win = StftParams(window, hop).window()
+    rng = np.random.default_rng(window * 3 + hop)
+    for n in (0, 1, 2, 3, 4, 11):
+        spectra = rng.standard_normal((n, window // 2 + 1, 2)) @ [1.0, 1j]
+        summed = frame_loop_overlap_add(np.fft.irfft(spectra, n=window, axis=1) * win, hop)
+        wsum = frame_loop_overlap_add(np.broadcast_to(win**2, (n, window)), hop)
+        for floor in (0.0, 0.5 * wsum.max(initial=1.0)):
+            divisor = np.maximum(wsum, floor)
+            expected = np.zeros_like(summed)
+            np.divide(summed, divisor, out=expected, where=divisor > 0.0)
+            blocks = core.frame_blocks(n, window)
+            with core.dealer() as deal:
+                got = core.synthesize(deal, lambda rows: rows,
+                                      (spectra[b0:b1] for b0, b1 in blocks), n, win, hop, floor)
+            assert got.tobytes() == expected.tobytes(), (n, floor)
+    assert not [t for t in threading.enumerate() if t.name.startswith("stretchkit-")]
+
+
 # (samples, window, hop): one frame block and several, two shapes either side
 # of 2^20 frame values (1023 and 1024 frames of 1024), and the four 48 kHz
 # sizes of StretchConfig.for_rate, two with odd hops
@@ -438,6 +465,15 @@ def test_median_filter_matches_truncated_np_median(shape, axis, kind):
         with np.errstate(over="ignore"):
             expected = truncated_median(values, ax, length)
         assert np.array_equal(got, expected), length
+
+
+def test_median_filter_window_far_longer_than_the_line():
+    """A window of 10**18 + 1 covers the whole line at every position: each
+    output is its line's median, with no setup sized by the window."""
+    values = np.random.default_rng(6).random((40, 257))
+    for ax, axis in enumerate(("time", "frequency")):
+        got = median_filter_axis(mag_spec(values), axis, 10**18 + 1).values
+        assert np.array_equal(got, truncated_median(values, ax, 2 * values.shape[ax] - 1)), axis
 
 
 @pytest.mark.parametrize("shape", [(300, 7), (7, 300), (40, 33)])

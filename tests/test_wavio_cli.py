@@ -442,6 +442,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main([str(inp), str(out), "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and str(cfg) in err, err
+    # --stems at an existing file, --onsets in a missing directory
+    for flag, path in (("--stems", inp), ("--onsets", tmp_path / "missing" / "onsets.csv")):
+        capsys.readouterr()
+        assert main([str(inp), str(out), "--alpha", "2", flag, str(path)]) == 1, flag
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error:") and str(path) in err, err
 
 
 @pytest.mark.parametrize("mode", ["nm", "an"])
