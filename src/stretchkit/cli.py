@@ -3,8 +3,9 @@
     stretch <in> <out> --alpha <f> [--mode nm|ni|nd|an] [--seed <n>]
             [--config <path>] [--stems <dir>] [--onsets <csv>] [-v]
 
-Exit codes: 0 success, 1 I/O error, 2 configuration error. A machine-readable
-summary line prefixed RESULT: is printed on stdout.
+Exit codes: 0 success, 1 I/O error or out of memory, 2 configuration
+error, each reported in one line on stderr. A machine-readable summary line
+prefixed RESULT: is printed on stdout.
 
 The optional config file is flat `key = value` text (# comments allowed).
 Keys are the StretchConfig fields, nested ones dotted, e.g.:
@@ -167,6 +168,9 @@ def main(argv=None) -> int:
         return 2
     except AudioIOError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -318,7 +318,8 @@ def median_filter_axis(mag: Spectrogram, axis: str, length: int) -> Spectrogram:
     Full windows take one of two exact rules, chosen from length, on chunks
     of whole lines of about _MEDIAN_BLOCK values, split into at most one
     task per CPU that dealer deals; task 0, on the calling thread, first
-    sorts the truncated edge windows, one position at a time:
+    sorts the truncated edge windows, one position at a time, except that
+    the positions whose window covers the whole line share one sort of it:
 
     - length <= _NETWORK_MAX: the comparator network of _median_network,
       applied with np.minimum/np.maximum to the length shifted slices of a
@@ -364,8 +365,12 @@ def median_filter_axis(mag: Spectrogram, axis: str, length: int) -> Spectrogram:
     data = np.ascontiguousarray(np.moveaxis(values, ax, 1))  # each line contiguous
 
     def edges():
+        whole = None  # the sorted lines, for the positions whose window covers them
         for i in [*range(min(half, n)), *range(max(half, n - half), n)]:
-            window = np.sort(data[:, max(0, i - half) : i + half + 1], axis=1)
+            if i <= half and i + half + 1 >= n:
+                window = whole = np.sort(data, axis=1) if whole is None else whole
+            else:
+                window = np.sort(data[:, max(0, i - half) : i + half + 1], axis=1)
             mid = window.shape[1] // 2
             if window.shape[1] % 2:
                 out[:, i] = window[:, mid]

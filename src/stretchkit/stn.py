@@ -128,15 +128,15 @@ def tonalness_transientness(mag: Spectrogram, time_median_len: int, freq_median_
     The time-axis median preserves steady spectral ridges; the frequency-axis
     median preserves broadband vertical events. Their ratio scores each bin:
     R_s = M_time / (M_time + M_freq), R_t = 1 - R_s, with 0/0 defined as 0.5.
+    R_s and R_t are the two median results, overwritten.
     """
     m_time = median_filter_axis(mag, TIME_AXIS, time_median_len).values
     m_freq = median_filter_axis(mag, FREQ_AXIS, freq_median_len).values
-    denom = m_time + m_freq
+    total = np.add(m_time, m_freq, out=m_freq)
     with np.errstate(invalid="ignore", divide="ignore"):
-        r_s = np.where(denom > 0.0, m_time / np.where(denom > 0.0, denom, 1.0), 0.5)
-    del m_time, m_freq, denom
-    r_t = 1.0 - r_s
-    return mag.copy_with(r_s), mag.copy_with(r_t)
+        r_s = np.divide(m_time, total, out=m_time)
+    r_s[total <= 0.0] = 0.5
+    return mag.copy_with(r_s), mag.copy_with(np.subtract(1.0, r_s, out=total))
 
 
 def compute_masks(r_s: Spectrogram, r_t: Spectrogram, thresholds: StnThresholds) -> MaskSet:

@@ -476,6 +476,27 @@ def test_median_filter_window_far_longer_than_the_line():
         assert np.array_equal(got, truncated_median(values, ax, 2 * values.shape[ax] - 1)), axis
 
 
+@pytest.mark.parametrize("axis", ["time", "frequency"])
+def test_median_filter_whole_line_windows_take_one_sort(monkeypatch, axis):
+    """Every window of at least 2n - 1 positions covers its whole line, n
+    positions long (odd along time, even along frequency): one np.sort per
+    call serves all n positions, with the bytes of one sort per position."""
+    values = np.random.default_rng(26).random((9, 12))
+    ax = 0 if axis == "time" else 1
+    n = values.shape[ax]
+    line_sorted = np.sort(values, axis=ax)
+    mid = (np.take(line_sorted, [(n - 1) // 2], ax) + np.take(line_sorted, [n // 2], ax)) / 2
+    expected = np.broadcast_to(mid, values.shape)
+    calls = []
+    sort = np.sort
+    monkeypatch.setattr(np, "sort", lambda *args, **kwargs: calls.append(1) or sort(*args, **kwargs))
+    for length in (2 * n - 1, 2 * n + 1, 10**18 + 1):
+        calls.clear()
+        got = median_filter_axis(mag_spec(values), axis, length).values
+        assert len(calls) == 1, (length, len(calls))
+        assert got.tobytes() == np.ascontiguousarray(expected).tobytes(), length
+
+
 @pytest.mark.parametrize("shape", [(300, 7), (7, 300), (40, 33)])
 @pytest.mark.parametrize("axis", ["time", "frequency"])
 @pytest.mark.parametrize("cpus", [1, 3])

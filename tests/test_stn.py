@@ -1,8 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from stretchkit import stn
-from stretchkit.core import MAX_AMPLITUDE, AudioBuffer, Spectrogram, StftParams, overlap_add, stft
+from stretchkit import core, stn
+from stretchkit.core import (
+    MAX_AMPLITUDE,
+    AudioBuffer,
+    Spectrogram,
+    StftParams,
+    median_filter_axis,
+    overlap_add,
+    stft,
+)
 from stretchkit.errors import ConfigurationError
 from stretchkit.pipeline import StretchConfig
 from stretchkit.signals import gen_signal
@@ -113,6 +123,33 @@ def test_tonalness_zero_magnitude_convention():
     assert np.all(r_t.values == 0.5)
 
 
+@pytest.mark.parametrize("shape,t_len,f_len", [((40, 33), 3, 3), ((70, 129), 69, 7),
+                                               ((12, 257), 5, 93), ((3, 9), 3, 5)])
+def test_scores_bytes_equal_written_out_formula(shape, t_len, f_len):
+    """R_s is M_time / (M_time + M_freq), 0.5 where that sum is 0, and R_t is
+    1 - R_s, byte for byte, on grids with zero cells, all-zero lines,
+    subnormal values and values near 1e100."""
+    rng = np.random.default_rng(sum(shape) + t_len)
+    values = rng.random(shape)
+    values[rng.random(shape) < 0.3] = 0.0
+    subnormal = rng.random(shape) < 0.1
+    values[subnormal] = 5e-324 * rng.integers(1, 1 << 20, subnormal.sum())
+    values[rng.random(shape) < 0.1] *= 1e100
+    values[shape[0] // 2] = 0.0
+    values[:, shape[1] // 3] = 0.0
+    values[: shape[0] // 3, : shape[1] // 3] = 0.0  # a block whose medians are both 0
+    m = mag(values)
+    mt = median_filter_axis(m, "time", t_len).values
+    mf = median_filter_axis(m, "frequency", f_len).values
+    d = mt + mf
+    with np.errstate(invalid="ignore", divide="ignore"):
+        expected = np.where(d > 0, mt / np.where(d > 0, d, 1), 0.5)
+    assert (d == 0).any() and (d > 0).any()
+    r_s, r_t = tonalness_transientness(m, t_len, f_len)
+    assert r_s.values.tobytes() == expected.tobytes()
+    assert r_t.values.tobytes() == (1.0 - expected).tobytes()
+
+
 def test_compute_masks_examples():
     thr = STAGE2_THRESHOLDS
     ms = compute_masks(mag([[0.9]]), mag([[0.1]]), thr)
@@ -216,6 +253,22 @@ def test_stages_equal_padded_copy_reference(kind, rate):
     assert comps.sines.samples.tobytes() == sines.tobytes()
     assert comps.transients.samples.tobytes() == transients.tobytes()
     assert comps.noise.samples.tobytes() == noise.tobytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_decompose_memory_per_input_second(monkeypatch, cpus):
+    """stn_decompose's traced peak on 10 s at 44.1 kHz stays within 5.5 MiB per
+    input second: the scores are written over the two median results. (At
+    2 s the per-task median buffers dominate the peak, so 10 s is used.)"""
+    monkeypatch.setattr(core, "_cpu_count", lambda: cpus)
+    x = gen_signal("click_plus_hiss", 10.0, SR)
+    tracemalloc.start()
+    try:
+        stn_decompose(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * 2**20 * 10, peak / 2**20
 
 
 def test_mask_partition_and_range():

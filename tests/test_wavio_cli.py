@@ -459,6 +459,38 @@ def test_cli_unbounded_output_exits_2(tmp_path, capsys, mode):
     assert err.startswith("configuration error:") and "exceeds the limit" in err
 
 
+# Runs cli.main on argv[1:] under a 3 GiB address-space limit and exits with its code.
+LIMITED_CLI_CHILD = r"""
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from stretchkit.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("config,flags", [
+    ("stn.long_window = 1048576\nstn.long_hop = 1\n", ["--alpha", "2"]),  # an 8.18 TiB STFT
+    ("", ["--alpha", "40000"]),  # 9.6e8 output samples, 7.15 GiB per output array
+], ids=["long_window_hop_1", "alpha_40000"])
+def test_cli_reports_memory_error_in_one_line(tmp_path, config, flags):
+    """A valid call that asks for more memory than the process may have
+    exits 1 with one stderr line, not a traceback. The 1048576-sample
+    window also warns that the input is shorter than it; that warning is
+    ignored, as the line under test is the error's."""
+    pytest.importorskip("resource")
+    inp = write_input(tmp_path, duration=0.5, sample_rate=48000)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(config)
+    src = str(Path(pipeline.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-W", "ignore::UserWarning", "-c", LIMITED_CLI_CHILD, str(inp),
+         str(tmp_path / "out.wav"), "--config", str(cfg), *flags],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert result.returncode == 1, result.stderr
+    assert len(result.stderr.splitlines()) == 1, result.stderr
+    assert result.stderr.startswith("out of memory: Unable to allocate"), result.stderr
+
+
 def test_cli_rejects_rate_with_huge_windows(tmp_path, capsys):
     """A 100-sample float WAV whose header states 4294967295 Hz: for_rate
     would scale the STN window past MAX_WINDOW, so the CLI exits 2 before
