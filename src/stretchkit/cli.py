@@ -4,7 +4,8 @@
             [--config <path>] [--stems <dir>] [--onsets <csv>] [-v]
 
 Exit codes: 0 success, 1 I/O error or out of memory, 2 configuration
-error, each reported in one line on stderr. A machine-readable summary line
+error, each reported in one line on stderr; a library warning is one
+WARNING line there too. A machine-readable summary line
 prefixed RESULT: is printed on stdout.
 
 The optional config file is flat `key = value` text (# comments allowed).
@@ -35,6 +36,7 @@ import dataclasses
 import logging
 import sys
 import time
+import warnings
 from pathlib import Path
 
 from .errors import AudioIOError, ConfigurationError
@@ -161,17 +163,24 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     level = logging.WARNING - 10 * min(args.verbose, 2)
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
-    try:
-        return run(args)
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except AudioIOError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError as exc:
-        print(f"out of memory: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _log_warning
+        try:
+            return run(args)
+        except ConfigurationError as exc:
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return 2
+        except AudioIOError as exc:
+            print(f"I/O error: {exc}", file=sys.stderr)
+            return 1
+        except MemoryError as exc:
+            print(f"out of memory: {exc}", file=sys.stderr)
+            return 1
+
+
+def _log_warning(message, category, filename, lineno, file=None, line=None):
+    """Show a library warning as one WARNING line, without its source line."""
+    log.warning("%s", message)
 
 
 if __name__ == "__main__":

@@ -136,8 +136,8 @@ def check_alpha(alpha: float) -> None:
 
 
 def check_seed(seed: int) -> None:
-    """Reject a seed the PCG64 generator cannot take."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    """Reject a seed the PCG64 generator cannot take, and a bool."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ConfigurationError(f"seed must be a non-negative integer, got {seed!r}")
 
 

@@ -7,7 +7,10 @@ those magnitudes modulate its bins; core.synthesize inverts, overlap-adds
 and divides the morphed frames. Because the excitation is a single
 time-domain signal, overlapping synthesis frames stay perfectly correlated
 and the result is free of frame-rate artifacts. core.frames_at reads its
-frames in place at starts (m - ceil(window/hop)) * hop, the time map.
+frames in place at starts (m - ceil(window/hop)) * hop, the time map. The
+excitation is never whole: one PCG64 stream is drawn block by block, each
+block carrying over the window - hop samples it shares with the one before,
+and the draws equal one draw of the output length bit for bit.
 
 Two variants exist: 'multiply' scales the excitation bins by the target
 magnitudes (keeping their stochastic magnitude variation), while 'replace'
@@ -102,16 +105,23 @@ def lerp_frames(logmag: Spectrogram, positions: np.ndarray) -> Spectrogram:
     return logmag.copy_with((1.0 - frac) * v[lo] + frac * v[hi])
 
 
-def generate_excitation(length: int, seed: int, sample_rate: int = 44100) -> AudioBuffer:
+def generate_excitation(length: int, seed: int | np.random.Generator,
+                        sample_rate: int = 44100) -> AudioBuffer:
     """Standard-Gaussian white noise; bit-reproducible for a given seed.
 
     Uses the PCG64 generator, whose stream is stable across platforms and
-    numpy releases for a fixed seed.
+    numpy releases for a fixed seed. An int seed starts the stream; a
+    numpy.random.Generator continues its own, so draws of n1, n2, ... samples
+    from Generator(PCG64(seed)) equal one draw of n1 + n2 + ... from seed,
+    bit for bit.
     """
     if length < 0:
         raise ConfigurationError(f"length must be non-negative, got {length}")
-    check_seed(seed)
-    rng = np.random.Generator(np.random.PCG64(seed))
+    if isinstance(seed, np.random.Generator):
+        rng = seed
+    else:
+        check_seed(seed)
+        rng = np.random.Generator(np.random.PCG64(seed))
     return AudioBuffer(rng.standard_normal(length), sample_rate)
 
 
@@ -158,10 +168,12 @@ def stretch_noise(
     noise's frames, so the input's last frames reach the output's end.
 
     The noise's log-magnitude grid is input-sized and computed whole. The
-    excitation's frames are morphed and go through core.synthesize in blocks
-    of at most core.FRAME_BLOCK values, so the output's bits do not depend
-    on the block size or the thread count, and the peak memory is the
-    excitation, the output and the blocks in flight.
+    excitation is drawn, its frames morphed and sent through core.synthesize
+    in blocks of at most core.FRAME_BLOCK values, so the output's bits do
+    not depend on the block size or the thread count, and the peak memory
+    is the output and the blocks in flight. Each block draws on the calling
+    thread, in block order, only the excitation samples its frames reach
+    past the previous block's.
     """
     if params is None:
         params = NoiseMorphParams()
@@ -183,19 +195,31 @@ def stretch_noise(
     pad = lead_frames * h
     n_frames = n_frames_for(out_length + 2 * pad, sp)
     logmag = log_magnitude(stft(noise, sp), params.floor_db)
-    excitation = generate_excitation(out_length, seed, rate).samples
     starts = (np.arange(n_frames) - lead_frames) * h
     positions = (np.arange(n_frames) - lead_frames) / alpha
     win, energy = sp.window(), window_energy(sp)
     shape = morph if variant == VARIANT_MULTIPLY else morph_replace
+    check_seed(seed)
+    rng = np.random.Generator(np.random.PCG64(seed))
 
-    def spectrum(block):  # on a dealt thread, with its inverse: each thread holds a block
-        b0, b1 = block
-        spec = np.fft.rfft(frames_at(excitation, starts[b0:b1], win, np.empty((b1 - b0, w))),
+    def excitation_blocks():  # pulled by deal on the calling thread, in block order
+        # block (b0, b1) reads excitation samples [lo, hi): the first W - h
+        # are the previous block's last, carried; the rest are drawn
+        part, part_lo = np.zeros(0), 0
+        for b0, b1 in frame_blocks(n_frames, w):
+            lo = min(max(0, starts[b0]), out_length)
+            hi = max(min(out_length, starts[b1 - 1] + w), lo)
+            fresh = generate_excitation(hi - part_lo - len(part), rng, rate).samples
+            part, part_lo = np.concatenate((part[lo - part_lo :], fresh)), lo
+            yield b0, b1, part, lo
+
+    def spectrum(item):  # on a dealt thread, with its inverse: each thread holds a block
+        b0, b1, part, lo = item
+        spec = np.fft.rfft(frames_at(part, starts[b0:b1] - lo, win, np.empty((b1 - b0, w))),
                            axis=1)
         spec /= energy  # in place
         return shape(lerp_frames(logmag, positions[b0:b1]), Spectrogram(spec, w, h, rate)).values
 
     with dealer() as deal:
-        out = synthesize(deal, spectrum, frame_blocks(n_frames, w), n_frames, win, h)
+        out = synthesize(deal, spectrum, excitation_blocks(), n_frames, win, h)
     return AudioBuffer(out[pad : pad + out_length], rate)

@@ -205,8 +205,8 @@ def _decompose(x: AudioBuffer, config: StnConfig | None, with_masks: bool):
     check_amplitude(x)
     if len(x) < config.long_window:
         warnings.warn(
-            "input shorter than the stage-1 analysis window; "
-            "processing a single zero-padded frame",
+            f"input shorter than the stage-1 analysis window ({len(x)} < "
+            f"{config.long_window} samples); every stage-1 frame is partly zero padding",
             stacklevel=3,
         )
 

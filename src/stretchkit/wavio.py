@@ -132,14 +132,17 @@ def write_wav(buffer: AudioBuffer, path, bit_depth: str = "float32") -> None:
         tag, width, data = _FLOAT, 4, x.astype("<f4")
     elif bit_depth == "16":
         tag, width, data = _PCM, 2, np.round(x * 32767.0).astype("<i2")
-    else:  # the low three bytes of each little-endian int32
+    else:  # the low three bytes of each little-endian int32, one byte column at a time
         tag, width = _PCM, 3
-        data = np.round(x * 8388607.0).astype("<i4").view(np.uint8).reshape(-1, 4)[:, :3]
+        raw = np.round(x * 8388607.0).astype("<i4").view(np.uint8)
+        data = np.empty((len(x), 3), np.uint8)
+        for k in range(3):
+            data[:, k] = raw[k::4]
     header = _header(tag, buffer.sample_rate, width, len(data), path)
     try:
         with open(path, "wb") as f:
             f.write(header)
-            np.ascontiguousarray(data).tofile(f)
+            data.tofile(f)
     except OSError as exc:
         raise AudioIOError(f"cannot write {path}: {exc}")
 

@@ -130,10 +130,24 @@ def test_excitation_deterministic():
     lambda: generate_excitation(10, -1),
     lambda: stretch_noise(AudioBuffer(np.zeros(100), SR), 2.0, seed=-1),
     lambda: generate_excitation(10, 1.5),
-], ids=["excitation_negative", "stretch_noise_negative", "excitation_float"])
+    lambda: generate_excitation(10, True),
+    lambda: stretch_noise(AudioBuffer(np.zeros(100), SR), 2.0, seed=False),
+], ids=["excitation_negative", "stretch_noise_negative", "excitation_float", "excitation_bool",
+        "stretch_noise_bool"])
 def test_bad_seed_is_configuration_error(call):
     with pytest.raises(ConfigurationError, match="seed must be a non-negative integer"):
         call()
+
+
+def test_excitation_generator_continues_its_stream():
+    """A Generator passed as the seed continues its PCG64 stream: chunks of
+    any size drawn in turn equal one draw of their total from the int seed."""
+    sizes = (0, 1, 3, 999, 131072, 0, 7)
+    rng = np.random.Generator(np.random.PCG64(11))
+    chunks = [generate_excitation(n, rng, SR) for n in sizes]
+    assert all(c.sample_rate == SR for c in chunks)
+    whole = generate_excitation(sum(sizes), 11, SR).samples
+    assert np.concatenate([c.samples for c in chunks]).tobytes() == whole.tobytes()
 
 
 def test_excitation_statistics():
@@ -331,6 +345,51 @@ def test_stretch_noise_memory_is_bounded(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 23 * len(out)
+
+
+def test_stretch_noise_holds_no_whole_excitation(monkeypatch):
+    # the excitation is drawn block by block, so what is left is the output,
+    # 8 bytes per sample, and the blocks in flight; the whole excitation
+    # drawn up front took 22.0. Two CPUs: one worker's blocks.
+    monkeypatch.setattr(core, "_cpu_count", lambda: 2)
+    noise = shaped_noise(-3.0, 2.0, seed=2)
+    tracemalloc.start()
+    try:
+        out = stretch_noise(noise, 16.0, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * len(out)
+
+
+@pytest.mark.parametrize("alpha, length", [
+    (0.01, 3000),  # a 30-sample output
+    (1.0, 100),  # an output shorter than one window
+    (2.5, 700),
+    (8.0, 300),
+])
+def test_stretch_noise_draws_each_excitation_sample_once(monkeypatch, alpha, length):
+    """Blocks of 1, 2, 3 and 5 frames, so a block edge falls inside the
+    W - h samples a block shares with the one before: the same bytes as the
+    whole grid, with round(alpha * length) samples drawn in all, none of
+    them twice, and no draw longer than its block's frames cover."""
+    noise = shaped_noise(-3.0, length / SR, seed=length)
+    expected = whole_grid_noise(noise, alpha, SMALL_NM, VARIANT_MULTIPLY, 5).tobytes()
+    drawn = []
+
+    def recording(n, seed, sample_rate):
+        drawn.append(n)
+        return generate_excitation(n, seed, sample_rate)
+
+    monkeypatch.setattr(noisemorph, "generate_excitation", recording)
+    w, h = SMALL_NM.window_size, SMALL_NM.hop_size
+    for frames in (1, 2, 3, 5):
+        monkeypatch.setattr(core, "FRAME_BLOCK", frames * w)
+        drawn.clear()
+        out = stretch_noise(noise, alpha, SMALL_NM, seed=5).samples
+        assert out.tobytes() == expected
+        assert sum(drawn) == round(alpha * length)
+        assert max(drawn) <= (frames - 1) * h + w
 
 
 @pytest.mark.parametrize("variant", [VARIANT_MULTIPLY, VARIANT_REPLACE])

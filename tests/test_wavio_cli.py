@@ -51,6 +51,24 @@ def test_pcm24_bytes_match_per_sample_packing(tmp_path):
         assert f.readframes(f.getnframes()) == expected
 
 
+@pytest.mark.parametrize("x", [
+    np.random.default_rng(4).uniform(-1, 1, 1000),
+    np.array([-1.0, 1.0, 1.0, -1.0]),
+    np.array([2.0, -3.0, 0.5, 1.0 + 1e-12, -1e300]),  # clipped first
+    np.random.default_rng(5).uniform(-1, 1, 999),
+    np.zeros(0),
+], ids=["random", "full_scale", "clipped", "odd_length", "empty"])
+def test_pcm24_bytes_match_strided_int32_packing(tmp_path, x):
+    """The 24-bit data chunk is the low three bytes of each little-endian
+    int32, as a contiguous copy of the strided (n, 4) byte view gave them."""
+    path = tmp_path / "x.wav"
+    write_wav(AudioBuffer(x, SR), path, "24")
+    ints = np.round(np.clip(x, -1.0, 1.0) * 8388607.0).astype("<i4")
+    expected = np.ascontiguousarray(ints.view(np.uint8).reshape(-1, 4)[:, :3]).tobytes()
+    data = path.read_bytes()[44:]  # after the RIFF, fmt and data chunk headers
+    assert data == expected
+
+
 def test_write_clips_out_of_range(tmp_path):
     buf = AudioBuffer(np.array([0.0, 2.0, -3.0]), SR)
     path = tmp_path / "clip.wav"
@@ -489,6 +507,23 @@ def test_cli_reports_memory_error_in_one_line(tmp_path, config, flags):
     assert result.returncode == 1, result.stderr
     assert len(result.stderr.splitlines()) == 1, result.stderr
     assert result.stderr.startswith("out of memory: Unable to allocate"), result.stderr
+
+
+def test_cli_prints_library_warning_in_one_line(tmp_path):
+    """An input shorter than stn.long_window makes the STN warn; the CLI
+    prints that as one WARNING line on stderr, not Python's two."""
+    inp = write_input(tmp_path, duration=0.1)
+    assert len(read_wav(inp)) < pipeline.StnConfig().long_window
+    src = str(Path(pipeline.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-m", "stretchkit.cli", str(inp), str(tmp_path / "out.wav"),
+         "--alpha", "2"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert result.returncode == 0, result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    assert lines[0].startswith(
+        "WARNING stretchkit: input shorter than the stage-1 analysis window"), result.stderr
 
 
 def test_cli_rejects_rate_with_huge_windows(tmp_path, capsys):
