@@ -12,11 +12,13 @@ overlap-added squared window, built from one hop (`divide_window_sum`).
 Threads start only in `dealer`: one worker per CPU in the process's
 affinity beyond the calling thread's, joined before the call returns. The
 STFT, the ISTFT, the vocoder and the noise morph deal their frame blocks
-through it, and the median its line tasks. Rows and blocks are computed on
-their own, and every overlap-add and every step that carries state from one
-frame to the next stays on the calling thread in frame order, so all
-outputs are bit-identical for any thread count; no setting changes the
-count.
+through it, and the median its line tasks. The median's two rules are
+plain functions of (data, out, chunks) that allocate their own scratch, so
+they share nothing between tasks and need no dealer to run. Rows and
+blocks are computed on their own, and every overlap-add and every step
+that carries state from one frame to the next stays on the calling thread
+in frame order, so all outputs are bit-identical for any thread count; no
+setting changes the count.
 """
 
 from __future__ import annotations
@@ -316,10 +318,11 @@ def median_filter_axis(mag: Spectrogram, axis: str, length: int) -> Spectrogram:
     invented. length must be odd and positive; values must be finite.
 
     Full windows take one of two exact rules, chosen from length, on chunks
-    of whole lines of about _MEDIAN_BLOCK values, split into at most one
-    task per CPU that dealer deals; task 0, on the calling thread, first
-    sorts the truncated edge windows, one position at a time, except that
-    the positions whose window covers the whole line share one sort of it:
+    of whole lines of about _MEDIAN_BLOCK values; each rule allocates its
+    own scratch. dealer deals at most one task per CPU, task i taking chunks
+    i, i + tasks, ...; task 0, on the calling thread, first sorts the
+    truncated edge windows, one position at a time, except that the
+    positions whose window covers the whole line share one sort of it:
 
     - length <= _NETWORK_MAX: the comparator network of _median_network,
       applied with np.minimum/np.maximum to the length shifted slices of a
@@ -381,35 +384,17 @@ def median_filter_axis(mag: Spectrogram, axis: str, length: int) -> Spectrogram:
     full = n - 2 * half  # positions with a full window
     network = length <= _NETWORK_MAX
     # a chunk is whole lines of about _MEDIAN_BLOCK values; the network holds
-    # length + 1 copies of its chunk, so its chunks are that much shorter
+    # up to length + 2 arrays of its chunk's size, so its chunks are shorter
     rows = min(lines, max(1, _MEDIAN_BLOCK // (n * (length + 1 if network else 1))))
     chunks = [slice(r, min(r + rows, lines)) for r in range(0, lines, rows)] if full > 0 else []
     tasks = min(len(chunks), _cpu_count())
-    if network:
-        task = partial(_network_medians, _median_network(length))
-        buffers = [(np.empty((length + 1, rows, full)),) for _ in range(tasks)]
-    else:
-        rank_type = np.int16 if n <= 1 << 15 else np.int32
-        # a block sorts groups of three windows, the same number on each
-        # line, at least one: at most about 4 * _MEDIAN_BLOCK union ranks and
-        # _MEDIAN_BLOCK / 4 windows, so its selection buffers stay smaller
-        groups = min(4 * _MEDIAN_BLOCK // (length + 2), _MEDIAN_BLOCK // 12)
-        step = min(max(1, groups // rows), -(-full // 3))
-        # flat positions of each line's start and each group's middle union rank
-        offsets = np.arange(rows)[:, None] * n
-        centers = (np.arange(rows * step) * (length + 2) + half).reshape(rows, step)
-        task = partial(_rank_medians, np.arange(n, dtype=rank_type)[None, :], offsets, centers)
-        windows = rows * step * 3
-        buffers = [(np.empty((rows, n), rank_type), np.empty((rows, step, length + 2), rank_type),
-                    np.empty((4, rows * step), rank_type), np.empty((2, windows), rank_type),
-                    np.empty(windows, bool), np.empty((2, windows), np.intp),
-                    np.empty(windows, rank_type), np.empty(windows)) for _ in range(tasks)]
+    rule = partial(_network_medians, _median_network(length)) if network else _rank_medians
 
     def work(i):  # task i; task 0 on the calling thread, also with no chunks
         if i == 0:
             edges()
         if i < tasks:
-            task(data, out[:, half : n - half], chunks[i::tasks], *buffers[i])
+            rule(data, out[:, half : n - half], chunks[i::tasks])
 
     with dealer() as deal:
         for _ in deal(work, range(max(tasks, 1))):
@@ -445,48 +430,55 @@ def _median_network(length: int) -> list:
     return network[::-1]
 
 
-def _network_medians(network: list, data: np.ndarray, out: np.ndarray, chunks: list,
-                     buffers: np.ndarray) -> None:
+def _network_medians(network: list, data: np.ndarray, out: np.ndarray, chunks: list) -> None:
     """Write the median of each full window of data's lines in chunks into
-    out: network's comparators applied with np.minimum/np.maximum to the
-    window's shifted slices of the chunk, in buffers: length + 1 chunks, as
-    the wires hold at most length of them, plus the one a comparator writes
-    before it frees an input's."""
+    out: network's comparators applied to the window's shifted slices of
+    the chunk, each output a comparator keeps a fresh np.minimum or
+    np.maximum. At most length + 2 chunk-sized arrays are alive at once:
+    one per wire, and a comparator's two inputs until it has written both
+    outputs."""
     length = data.shape[1] - out.shape[1] + 1
     full = out.shape[1]
     for rows in chunks:
-        k = rows.stop - rows.start
         wires = [data[rows, i : i + full] for i in range(length)]
-        owned = [False] * length  # whether wires[i] is one of the buffers
-        free = [buf[:k] for buf in buffers]
         for lo, hi, keep_lo, keep_hi in network:
             a, b = wires[lo], wires[hi]
-            spent = [w for w, own in ((a, owned[lo]), (b, owned[hi])) if own]
-            # an output computed last may overwrite an input, elementwise
             if keep_lo:
-                wires[lo] = np.minimum(a, b, out=spent.pop() if spent and not keep_hi else free.pop())
+                wires[lo] = np.minimum(a, b)
             if keep_hi:
-                wires[hi] = np.maximum(a, b, out=spent.pop() if spent else free.pop())
-            free.extend(spent)
-            owned[lo], owned[hi] = keep_lo, keep_hi
+                wires[hi] = np.maximum(a, b)
         out[rows] = wires[length // 2]
 
 
-def _rank_medians(positions: np.ndarray, offsets: np.ndarray, centers: np.ndarray,
-                  data: np.ndarray, out: np.ndarray, chunks: list, ranks: np.ndarray,
-                  union: np.ndarray, ends: np.ndarray, left_out: np.ndarray, flags: np.ndarray,
-                  indices: np.ndarray, middles: np.ndarray, values: np.ndarray) -> None:
-    """Write the median of each full window of data's lines in chunks into
-    out, by median_filter_axis's group rule. Each line's values are ranked
-    into ranks (positions' type); each group's union is sorted in a row of
-    union, up to union.shape[1] groups per line at a time. The ranks each
-    window leaves out go through ends into left_out, lower first; flags
-    mark those at or below the middle candidates, and indices take the
-    flat position of each middle rank (from centers) into middles, then of
-    its value (from offsets, the lines' starts) into values, then out."""
-    length = data.shape[1] - out.shape[1] + 1
-    half, full = length // 2, out.shape[1]
-    step = union.shape[1]
+def _rank_medians(data: np.ndarray, out: np.ndarray, chunks: list) -> None:
+    """Write the median of each full window of data's lines in chunks (not
+    empty) into out, by median_filter_axis's group rule, in scratch that
+    each call allocates once, for its longest chunk. Each line's values are
+    ranked into ranks; each group's union is sorted in a row of union, up
+    to step groups per line at a time. The ranks each window leaves out go
+    through ends into left_out, lower first; flags mark those at or below
+    the middle candidates, and indices take the flat position of each
+    middle rank (from centers) into middles, then of its value (from
+    offsets, the lines' starts) into values, then out."""
+    n, full = data.shape[1], out.shape[1]
+    length = n - full + 1
+    half = length // 2
+    rows = max(c.stop - c.start for c in chunks)
+    rank_type = np.int16 if n <= 1 << 15 else np.int32
+    # a block sorts groups of three windows, the same number on each line,
+    # at least one: at most about 4 * _MEDIAN_BLOCK union ranks and
+    # _MEDIAN_BLOCK / 4 windows, so its selection buffers stay smaller
+    block_groups = min(4 * _MEDIAN_BLOCK // (length + 2), _MEDIAN_BLOCK // 12)
+    step = min(max(1, block_groups // rows), -(-full // 3))
+    positions = np.arange(n, dtype=rank_type)[None, :]
+    # flat positions of each line's start and each group's middle union rank
+    offsets = np.arange(rows)[:, None] * n
+    centers = (np.arange(rows * step) * (length + 2) + half).reshape(rows, step)
+    windows = rows * step * 3
+    ranks, union = np.empty((rows, n), rank_type), np.empty((rows, step, length + 2), rank_type)
+    ends, left_out = np.empty((4, rows * step), rank_type), np.empty((2, windows), rank_type)
+    flags, indices = np.empty(windows, bool), np.empty((2, windows), np.intp)
+    middles, values = np.empty(windows, rank_type), np.empty(windows)
     groups = full // 3
     blocks = [(p, min(step, groups - p // 3), 3) for p in range(0, 3 * groups, 3 * step)]
     if full % 3:

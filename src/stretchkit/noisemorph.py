@@ -79,9 +79,11 @@ def log_magnitude(spec: Spectrogram, floor_db: float = -120.0) -> Spectrogram:
     comes out of stretch_noise at the floor's level, about 1.7e-13 peak with
     the default -120.
     """
+    db = np.abs(spec.values)
     with np.errstate(divide="ignore"):
-        db = 10.0 * np.log10(np.abs(spec.values))
-    return spec.copy_with(np.maximum(db, floor_db))
+        np.log10(db, out=db)
+    db *= 10.0
+    return spec.copy_with(np.maximum(db, floor_db, out=db))
 
 
 def lerp_frames(logmag: Spectrogram, positions: np.ndarray) -> Spectrogram:

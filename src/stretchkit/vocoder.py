@@ -196,8 +196,8 @@ def _locked_block(spec, mag, dts, omega, synth_hop, state):
     so phase and advance are computed only at peak bins. state is (previous
     spectrum, its per-bin rotation, its synthesis phase): the phase is given
     in full after a frame without peaks (or the first frame), and is None when
-    it is the spectrum's phase plus the rotation. A frame without peaks is a
-    one-frame block of the plain rule: every bin propagates on its own.
+    it is the spectrum's phase plus the rotation. A frame without peaks
+    takes the plain rule: every bin propagates on its own.
     """
     synth = np.empty_like(spec)
     first = state is None  # the first frame keeps its analysis phase
@@ -208,10 +208,9 @@ def _locked_block(spec, mag, dts, omega, synth_hop, state):
         regions = find_peaks(mag[i])
         if len(regions) == 0:
             prev_phase = np.angle(prev)
-            plain = (prev_phase, prev_phase + rot if psi is None else psi)
-            frame = _plain_analyse(spec[i : i + 1], dts[i : i + 1], omega, synth_hop)
-            polar, (_, psi) = _plain_chain(*frame, dts[i : i + 1], omega, synth_hop, plain)
-            synth[i : i + 1] = _polar(*polar)
+            psi_prev = prev_phase + rot if psi is None else psi
+            psi = synth_hop * _inst_freq(np.angle(spec[i]), prev_phase, omega, dts[i]) + psi_prev
+            synth[i] = _polar(mag[i], psi)
         else:
             peaks, starts, ends = regions.T
             phase, prev_phase = np.angle(spec[i, peaks]), np.angle(prev[peaks])

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -740,6 +741,34 @@ def test_median_filter_concurrent_callers_same_bytes(monkeypatch):
     assert not [t for t in threading.enumerate() if t.name.startswith("stretchkit-")]
     assert len(results) == 4 * 6
     assert all(np.array_equal(got, expected[axis]) for axis, got in results)
+
+
+@pytest.mark.parametrize("length", [5, 7, 9, 69])
+def test_median_rules_run_on_two_threads_without_a_dealer(length):
+    """Each median rule is a plain function of (data, out, chunks) with its
+    own scratch: called directly from two threads at once, on disjoint
+    chunk lists of one grid (chunks of 3 lines, the last of 2), it writes
+    truncated_median's full-window columns."""
+    values = np.random.default_rng(length).random((44, 300))
+    half = length // 2
+    out = np.zeros((44, 300 - 2 * half))
+    if length <= core._NETWORK_MAX:
+        rule = partial(core._network_medians, core._median_network(length))
+    else:
+        rule = core._rank_medians
+    chunks = [slice(r, min(r + 3, 44)) for r in range(0, 44, 3)]
+    threads = [threading.Thread(target=rule, args=(values, out, chunks[i::2])) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert np.array_equal(out, truncated_median(values, 1, length)[:, half : 300 - half])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -63,6 +63,26 @@ def test_log_magnitude_floor_property(mags, phase, floor_db):
     assert np.all(out >= floor_db)
 
 
+@pytest.mark.parametrize("floor_db", [-300.0, -120.0, 0.0])
+def test_log_magnitude_in_one_real_grid(floor_db):
+    """The log, the scale and the floor are taken in the np.abs array: the
+    peak is one real grid (plus 1 MiB), and the bytes are those of the
+    plain expression, zero bins included."""
+    rng = np.random.default_rng(8)
+    values = rng.standard_normal((600, 1025)) + 1j * rng.standard_normal((600, 1025))
+    values[::7, ::5] = 0.0
+    tracemalloc.start()
+    try:
+        out = log_magnitude(spec(values, complex_=True), floor_db=floor_db).values
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 2**20
+    with np.errstate(divide="ignore"):
+        expected = np.maximum(10.0 * np.log10(np.abs(values)), floor_db)
+    assert out.tobytes() == expected.tobytes()
+
+
 def test_lerp_identity_at_alpha_one():
     s = spec(np.random.default_rng(0).random((7, 5)))
     out = lerp_frames(s, np.arange(7) / 1.0)
