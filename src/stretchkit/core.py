@@ -12,13 +12,13 @@ overlap-added squared window, built from one hop (`divide_window_sum`).
 Threads start only in `dealer`: one worker per CPU in the process's
 affinity beyond the calling thread's, joined before the call returns. The
 STFT, the ISTFT, the vocoder and the noise morph deal their frame blocks
-through it, and the median its line tasks. The median's two rules are
-plain functions of (data, out, chunks) that allocate their own scratch, so
-they share nothing between tasks and need no dealer to run. Rows and
-blocks are computed on their own, and every overlap-add and every step
-that carries state from one frame to the next stays on the calling thread
-in frame order, so all outputs are bit-identical for any thread count; no
-setting changes the count.
+through it, and the median its line tasks. The median's three rules (the
+network, the ranks and the edge sorts) are plain functions of lines that
+allocate their own scratch, so they share nothing between tasks and need no
+dealer to run. Rows and blocks are computed on their own, and every
+overlap-add and every step that carries state from one frame to the next
+stays on the calling thread in frame order, so all outputs are
+bit-identical for any thread count; no setting changes the count.
 """
 
 from __future__ import annotations
@@ -320,16 +320,16 @@ def median_filter_axis(mag: Spectrogram, axis: str, length: int) -> Spectrogram:
     Full windows take one of two exact rules, chosen from length, on chunks
     of whole lines of about _MEDIAN_BLOCK values; each rule allocates its
     own scratch. dealer deals at most one task per CPU, task i taking chunks
-    i, i + tasks, ...; task 0, on the calling thread, first sorts the
-    truncated edge windows, one position at a time, except that the
-    positions whose window covers the whole line share one sort of it:
+    i, i + tasks, ...; task 0, on the calling thread, first runs the third
+    rule, _edge_medians, on the truncated edge windows. All three are plain
+    functions of lines; this function only validates, lays out the lines,
+    picks a rule, chunks and deals:
 
     - length <= _NETWORK_MAX: the comparator network of _median_network,
       applied with np.minimum/np.maximum to the length shifted slices of a
       chunk. It only moves values, so its middle output is the median.
     - longer: each line's values are replaced by their ranks in the line,
-      np.argsort's order inverted (int16 for lines of at most 2**15
-      positions, else int32), and the line's value of a window's middle
+      np.argsort's order inverted, and the line's value of a window's middle
       rank is its median. Ranks keep the line's order exactly, equal values
       included, so this is the k-th order statistic a float sort of the
       window takes. Three adjacent windows share one sort, of the union of
@@ -342,9 +342,10 @@ def median_filter_axis(mag: Spectrogram, axis: str, length: int) -> Spectrogram:
       sorted positions s0 < s1 moves the k-th survivor to
       S[k + #{i : s_i - i <= k}], lo <= S[half] holds exactly when
       s0 <= half and hi <= S[half + 1] when s1 - 1 <= half, and ranks are
-      distinct. A line's last one or two windows form a smaller group: with
-      one rank x left out the middle is S[half + (x <= S[half])], with none
-      S[half].
+      distinct. Each line's ranks are followed by the ranks n and n + 1,
+      above all of its own and in no window inside the line, so every line
+      ends in a whole group, whose windows past the line are computed but
+      not written. Ranks are int16 while n + 2 <= 2**15, else int32.
 
     So the output is bit-identical to sorting each window, for any thread
     count. The one exception is a median that ties -0.0 with +0.0, where
@@ -367,20 +368,6 @@ def median_filter_axis(mag: Spectrogram, axis: str, length: int) -> Spectrogram:
     half = length // 2
     data = np.ascontiguousarray(np.moveaxis(values, ax, 1))  # each line contiguous
 
-    def edges():
-        whole = None  # the sorted lines, for the positions whose window covers them
-        for i in [*range(min(half, n)), *range(max(half, n - half), n)]:
-            if i <= half and i + half + 1 >= n:
-                window = whole = np.sort(data, axis=1) if whole is None else whole
-            else:
-                window = np.sort(data[:, max(0, i - half) : i + half + 1], axis=1)
-            mid = window.shape[1] // 2
-            if window.shape[1] % 2:
-                out[:, i] = window[:, mid]
-            else:
-                with np.errstate(over="ignore"):
-                    out[:, i] = (window[:, mid - 1] + window[:, mid]) / 2
-
     full = n - 2 * half  # positions with a full window
     network = length <= _NETWORK_MAX
     # a chunk is whole lines of about _MEDIAN_BLOCK values; the network holds
@@ -392,7 +379,7 @@ def median_filter_axis(mag: Spectrogram, axis: str, length: int) -> Spectrogram:
 
     def work(i):  # task i; task 0 on the calling thread, also with no chunks
         if i == 0:
-            edges()
+            _edge_medians(data, out, half)
         if i < tasks:
             rule(data, out[:, half : n - half], chunks[i::tasks])
 
@@ -400,6 +387,26 @@ def median_filter_axis(mag: Spectrogram, axis: str, length: int) -> Spectrogram:
         for _ in deal(work, range(max(tasks, 1))):
             pass
     return mag.copy_with(result)
+
+
+def _edge_medians(data: np.ndarray, out: np.ndarray, half: int) -> None:
+    """Write into out the median of each truncated window of data's lines,
+    the positions within half of a line's ends: one sort per position,
+    except that the positions whose window covers the whole line share one
+    sort of the lines."""
+    n = data.shape[1]
+    whole = None  # the sorted lines, for the positions whose window covers them
+    for i in [*range(min(half, n)), *range(max(half, n - half), n)]:
+        if i <= half and i + half + 1 >= n:
+            window = whole = np.sort(data, axis=1) if whole is None else whole
+        else:
+            window = np.sort(data[:, max(0, i - half) : i + half + 1], axis=1)
+        mid = window.shape[1] // 2
+        if window.shape[1] % 2:
+            out[:, i] = window[:, mid]
+        else:
+            with np.errstate(over="ignore"):
+                out[:, i] = (window[:, mid - 1] + window[:, mid]) / 2
 
 
 def _median_network(length: int) -> list:
@@ -453,66 +460,56 @@ def _network_medians(network: list, data: np.ndarray, out: np.ndarray, chunks: l
 def _rank_medians(data: np.ndarray, out: np.ndarray, chunks: list) -> None:
     """Write the median of each full window of data's lines in chunks (not
     empty) into out, by median_filter_axis's group rule, in scratch that
-    each call allocates once, for its longest chunk. Each line's values are
-    ranked into ranks; each group's union is sorted in a row of union, up
-    to step groups per line at a time. The ranks each window leaves out go
-    through ends into left_out, lower first; flags mark those at or below
-    the middle candidates, and indices take the flat position of each
-    middle rank (from centers) into middles, then of its value (from
-    offsets, the lines' starts) into values, then out."""
+    each call allocates once, for its longest chunk."""
     n, full = data.shape[1], out.shape[1]
     length = n - full + 1
     half = length // 2
     rows = max(c.stop - c.start for c in chunks)
-    rank_type = np.int16 if n <= 1 << 15 else np.int32
+    rank_type = np.int16 if n + 2 <= 1 << 15 else np.int32
+    groups = -(-full // 3)
     # a block sorts groups of three windows, the same number on each line,
     # at least one: at most about 4 * _MEDIAN_BLOCK union ranks and
     # _MEDIAN_BLOCK / 4 windows, so its selection buffers stay smaller
     block_groups = min(4 * _MEDIAN_BLOCK // (length + 2), _MEDIAN_BLOCK // 12)
-    step = min(max(1, block_groups // rows), -(-full // 3))
+    step = min(max(1, block_groups // rows), groups)
     positions = np.arange(n, dtype=rank_type)[None, :]
     # flat positions of each line's start and each group's middle union rank
     offsets = np.arange(rows)[:, None] * n
     centers = (np.arange(rows * step) * (length + 2) + half).reshape(rows, step)
     windows = rows * step * 3
-    ranks, union = np.empty((rows, n), rank_type), np.empty((rows, step, length + 2), rank_type)
+    ranks, union = np.empty((rows, n + 2), rank_type), np.empty((rows, step, length + 2), rank_type)
+    ranks[:, n:] = (n, n + 1)  # above every rank of the line
     ends, left_out = np.empty((4, rows * step), rank_type), np.empty((2, windows), rank_type)
     flags, indices = np.empty(windows, bool), np.empty((2, windows), np.intp)
     middles, values = np.empty(windows, rank_type), np.empty(windows)
-    groups = full // 3
-    blocks = [(p, min(step, groups - p // 3), 3) for p in range(0, 3 * groups, 3 * step)]
-    if full % 3:
-        blocks.append((3 * groups, 1, full % 3))
-    unions = {size: np.lib.stride_tricks.sliding_window_view(ranks, length + size - 1, axis=1)
-              for _, _, size in blocks}  # each position's next length + size - 1 ranks
+    # each position's next length + 2 ranks, the union of its group's windows
+    unions = np.lib.stride_tricks.sliding_window_view(ranks, length + 2, axis=1)
     for rows in chunks:
         line = data[rows]
         k = len(line)
         order = np.argsort(line, axis=1)
-        rank = ranks[:k]
-        np.put_along_axis(rank, order, positions, axis=1)
+        np.put_along_axis(ranks[:k, :n], order, positions, axis=1)
         order += offsets[:k]  # flat positions in line
-        for p, count, size in blocks:
-            spans = unions[size][:k, p : p + size * count : size]  # the groups' unions
-            shape = (size, k, count)  # window j of each group in plane j
-            cells = size * k * count
-            # window j leaves out the union ranks last[j : j + size - 1]: the
-            # union's last size - 1 - j ranks, then its first j
-            last = ends[: 2 * (size - 1), : k * count].reshape(-1, k, count)
-            np.copyto(last[: size - 1], spans[..., length:].transpose(2, 0, 1))
-            np.copyto(last[size - 1 :], spans[..., : size - 1].transpose(2, 0, 1))
-            left = [last]
-            if size == 3:
-                left = [part[:cells].reshape(shape) for part in left_out]
-                np.minimum(last[:3], last[1:], out=left[0])
-                np.maximum(last[:3], last[1:], out=left[1])
-            sorted_ = union[:k, :count, : spans.shape[2]]
+        for p in range(0, 3 * groups, 3 * step):
+            count = min(step, groups - p // 3)
+            spans = unions[:k, p : p + 3 * count : 3]  # the groups' unions
+            shape = (3, k, count)  # window j of each group in plane j
+            cells = 3 * k * count
+            # window j leaves out the union ranks last[j : j + 2]: the
+            # union's last 2 - j ranks, then its first j
+            last = ends[:, : k * count].reshape(4, k, count)
+            np.copyto(last[:2], spans[..., length:].transpose(2, 0, 1))
+            np.copyto(last[2:], spans[..., :2].transpose(2, 0, 1))
+            left = [part[:cells].reshape(shape) for part in left_out]
+            np.minimum(last[:3], last[1:], out=left[0])
+            np.maximum(last[:3], last[1:], out=left[1])
+            sorted_ = union[:k, :count]
             np.copyto(sorted_, spans)
             sorted_.sort(axis=2)
             at_middle, at_value = (part[:cells].reshape(shape) for part in indices)
             np.copyto(at_middle, centers[:k, :count])
             below = flags[:cells].reshape(shape)
-            for i, rank_left in enumerate(left[: size - 1]):  # + (lo <= S[half]) + (hi <= S[half + 1])
+            for i, rank_left in enumerate(left):  # + (lo <= S[half]) + (hi <= S[half + 1])
                 np.less_equal(rank_left, sorted_[..., half + i], out=below)
                 np.add(at_middle, below, out=at_middle)
             middle = middles[:cells].reshape(shape)
@@ -521,8 +518,8 @@ def _rank_medians(data: np.ndarray, out: np.ndarray, chunks: list) -> None:
             np.take(order, at_middle, out=at_value, mode="clip")
             got = values[:cells].reshape(shape)
             np.take(line, at_value, out=got, mode="clip")
-            for j in range(size):
-                out[rows, p + j : p + size * count : size] = got[j]
+            for j in range(3):  # the windows before full
+                out[rows, p + j : p + 3 * count : 3] = got[j, :, : (full - p - j + 2) // 3]
         del order  # before the next chunk's argsort
 
 

@@ -560,10 +560,11 @@ def test_rank_median_group_rule_every_left_out_position(length):
                 assert np.array_equal(got[:, half + i], expected), (size, j, i)
 
 
-@pytest.mark.parametrize("n", [2**15, 2**15 + 1])
+@pytest.mark.parametrize("n", [2**15 - 2, 2**15 - 1, 2**15, 2**15 + 1])
 def test_median_filter_long_lines_rank_exactly(n):
-    """Two lines of 2**15 positions, the longest ranked in int16, and of one
-    more, ranked in int32."""
+    """Two lines of 2**15 - 2 positions, the longest ranked in int16 (two
+    sentinel ranks follow each line, so its ranks reach 2**15 - 1), and of
+    one to three more, ranked in int32."""
     rng = np.random.default_rng(n)
     values = rng.integers(0, 50, (n, 2)) + rng.random((n, 2)).round(2)
     length, half = 69, 34
@@ -769,6 +770,31 @@ def test_median_rules_run_on_two_threads_without_a_dealer(length):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert np.array_equal(out, truncated_median(values, 1, length)[:, half : 300 - half])
+
+
+@pytest.mark.parametrize("length", [5, 69, 2 * 300 - 1])
+def test_edge_medians_run_on_two_threads_without_a_dealer(length):
+    """The edge rule is a plain function of (data, out, half): called
+    directly from two threads at once, on the two halves of one grid's
+    lines, it writes truncated_median's edge columns, also where every
+    window covers the whole line and one sort of it serves each position."""
+    values = np.random.default_rng(length).random((44, 300))
+    half = length // 2
+    out = np.zeros_like(values)
+    threads = [threading.Thread(target=core._edge_medians, args=(values[rows], out[rows], half))
+               for rows in (slice(0, 22), slice(22, 44))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    edges = [*range(min(half, 300)), *range(max(half, 300 - half), 300)]
+    assert np.array_equal(out[:, edges], truncated_median(values, 1, length)[:, edges])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -255,6 +255,49 @@ def test_stages_equal_padded_copy_reference(kind, rate):
     assert comps.noise.samples.tobytes() == noise.tobytes()
 
 
+def block_mask(mag, t_len, f_len, thresholds, keep, frames):
+    """The kept mask of a magnitude grid built from blocks of `frames`
+    frames, each widened by half the time-median span (clipped at the grid's
+    ends), scored and masked alone, and cut back to its own frames."""
+    m, half = mag.n_frames, t_len // 2
+    mask = np.empty(mag.values.shape)
+    for b0 in range(0, m, frames):
+        b1 = min(b0 + frames, m)
+        lo, hi = max(b0 - half, 0), min(b1 + half, m)
+        r_s, r_t = tonalness_transientness(mag.copy_with(mag.values[lo:hi]), t_len, f_len)
+        block = saturating_mask((r_s if keep == "sines" else r_t).values, thresholds)
+        mask[b0:b1] = block[b0 - lo : b1 - lo]
+    return mask
+
+
+@pytest.mark.parametrize("rate", [44100, 48000])
+@pytest.mark.parametrize("kind", ["click_plus_hiss", "two_tone"])
+def test_stage_masks_built_in_frame_blocks_keep_their_bytes(kind, rate):
+    """Each stage's kept mask, built from blocks of 5 and of 97 frames,
+    has the whole grid's bytes, and the kept signals it gives are
+    stn_decompose's components: the frequency median stays within a frame,
+    and a frame's time median needs only half a span of frames each side."""
+    config = StretchConfig().for_rate(rate).stn
+    x = gen_signal(kind, 2.0, rate).samples
+    comps = stn_decompose(AudioBuffer(x, rate), config)
+    stages = ((StftParams(config.long_window, config.long_hop), config.stage1, "sines"),
+              (StftParams(config.short_window, config.short_hop), config.stage2, "transients"))
+    for (params, thresholds, keep), component in zip(stages, (comps.sines, comps.transients)):
+        pad = params.window_size
+        spec = stft(AudioBuffer(x, rate), params, pad)
+        mag = spec.copy_with(np.abs(spec.values))
+        t_len, f_len = stn.median_lengths(params, rate, config)
+        r_s, r_t = tonalness_transientness(mag, t_len, f_len)
+        whole = saturating_mask((r_s if keep == "sines" else r_t).values, thresholds)
+        for frames in (5, 97):
+            mask = block_mask(mag, t_len, f_len, thresholds, keep, frames)
+            assert mask.tobytes() == whole.tobytes(), (keep, frames)
+            kept = core.istft(spec.copy_with(spec.values * mask)).samples[pad : pad + len(x)]
+            assert kept.tobytes() == component.samples.tobytes(), (keep, frames)
+        x = x - kept
+    assert x.tobytes() == comps.noise.samples.tobytes()
+
+
 @pytest.mark.parametrize("cpus", [1, 2, 4])
 def test_decompose_memory_per_input_second(monkeypatch, cpus):
     """stn_decompose's traced peak on 10 s at 44.1 kHz stays within 5.5 MiB per
