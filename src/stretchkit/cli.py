@@ -4,9 +4,9 @@
             [--config <path>] [--stems <dir>] [--onsets <csv>] [-v]
 
 Exit codes: 0 success, 1 I/O error or out of memory, 2 configuration
-error, each reported in one line on stderr; a library warning is one
-WARNING line there too. A machine-readable summary line
-prefixed RESULT: is printed on stdout.
+error, 130 interrupted (Ctrl-C), each reported in one line on stderr; a
+library warning is one WARNING line there too. A machine-readable summary
+line prefixed RESULT: is printed on stdout.
 
 The optional config file is flat `key = value` text (# comments allowed).
 Keys are the StretchConfig fields, nested ones dotted, e.g.:
@@ -176,6 +176,9 @@ def main(argv=None) -> int:
         except MemoryError as exc:
             print(f"out of memory: {exc}", file=sys.stderr)
             return 1
+        except KeyboardInterrupt:
+            print("interrupted", file=sys.stderr)
+            return 130
 
 
 def _log_warning(message, category, filename, lineno, file=None, line=None):

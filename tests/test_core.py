@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -30,8 +31,10 @@ from stretchkit.core import (
     window_energy,
 )
 from stretchkit.errors import ConfigurationError
+from stretchkit.noisemorph import stretch_noise
 from stretchkit.pipeline import StretchConfig, stretch
 from stretchkit.signals import gen_signal
+from stretchkit.vocoder import stretch_plain
 
 SR = 44100
 
@@ -692,6 +695,42 @@ def test_istft_peak_is_output_plus_blocks(monkeypatch):
         tracemalloc.stop()
     assert len(out) == 3450 * 128 + 512
     assert peak <= out.samples.nbytes + 4 * core.FRAME_BLOCK * 8
+
+
+def test_threads_only_where_a_second_cpu_pays(monkeypatch):
+    """With two CPUs, the STFT, the ISTFT and the network medians run on the
+    calling thread and submit nothing to a worker, while the rank medians,
+    the plain vocoder and the noise morph deal."""
+    submitted = []
+
+    class RecordingPool(ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            submitted.append(None)
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(core, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(core, "_cpu_count", lambda: 2)
+
+    def submits(call):
+        submitted.clear()
+        call()
+        return len(submitted)
+
+    x = white(2 * SR)
+    params = StftParams(512, 128)
+    spec = stft(x, params)
+    assert len(core.frame_blocks(spec.n_frames, 512)) == 3
+    assert submits(lambda: stft(x, params)) == 0
+    assert submits(lambda: istft(spec)) == 0
+    # 695 x 257: at least 17 network chunks along either axis, 3 rank chunks
+    grid = mag_spec(np.random.default_rng(7).random((695, 257)))
+    for axis in ("time", "frequency"):
+        for length in (5, 7):
+            assert submits(lambda: median_filter_axis(grid, axis, length)) == 0, (axis, length)
+    assert submits(lambda: median_filter_axis(grid, "time", 69)) > 0
+    assert submits(lambda: stretch_plain(x, 4.0)) > 0
+    assert submits(lambda: stretch_noise(x, 4.0)) > 0
+    assert not [t for t in threading.enumerate() if t.name.startswith("stretchkit-")]
 
 
 def _median_digest_into(queue):

@@ -509,6 +509,54 @@ def test_cli_reports_memory_error_in_one_line(tmp_path, config, flags):
     assert result.stderr.startswith("out of memory: Unable to allocate"), result.stderr
 
 
+def test_cli_interrupt_exits_130_in_one_line(tmp_path, capsys, monkeypatch):
+    """Ctrl-C during the stretch ends in one stderr line and exit 130, not a
+    traceback, and writes no output."""
+
+    def interrupted(x, config):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "stretch", interrupted)
+    inp = write_input(tmp_path, duration=0.1)
+    out = tmp_path / "out.wav"
+    capsys.readouterr()
+    assert main([str(inp), str(out), "--alpha", "2"]) == 130
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["interrupted"], captured.err
+    assert "RESULT:" not in captured.out
+    assert not out.exists()
+
+
+# Runs cli.main on argv[1:], with a SIGINT sent to itself when the noise morph
+# draws its first excitation block, and exits with its code.
+SIGINT_CLI_CHILD = r"""
+import os, signal, sys
+from stretchkit import noisemorph
+from stretchkit.cli import main
+draw = noisemorph.generate_excitation
+def interrupted(*args, **kwargs):
+    os.kill(os.getpid(), signal.SIGINT)
+    return draw(*args, **kwargs)
+noisemorph.generate_excitation = interrupted
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="no SIGINT to itself")
+def test_cli_sigint_mid_call_exits_130_in_one_line(tmp_path):
+    """A real SIGINT inside the noise morph's dealer: one stderr line, exit
+    130 and no output file."""
+    inp = write_input(tmp_path, duration=2.0)
+    out = tmp_path / "out.wav"
+    src = str(Path(pipeline.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", SIGINT_CLI_CHILD, str(inp), str(out), "--alpha", "4"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert result.returncode == 130, result.stderr
+    assert result.stderr.splitlines() == ["interrupted"], result.stderr
+    assert not out.exists()
+
+
 def test_cli_prints_library_warning_in_one_line(tmp_path):
     """An input shorter than stn.long_window makes the STN warn; the CLI
     prints that as one WARNING line on stderr, not Python's two."""
