@@ -6,7 +6,8 @@
 Exit codes: 0 success, 1 I/O error or out of memory, 2 configuration
 error, 130 interrupted (Ctrl-C), each reported in one line on stderr; a
 library warning is one WARNING line there too. A machine-readable summary
-line prefixed RESULT: is printed on stdout.
+line prefixed RESULT: is printed on stdout. Outputs are written straight to
+their paths, so an interrupt or error during a write can leave a partial file.
 
 The optional config file is flat `key = value` text (# comments allowed).
 Keys are the StretchConfig fields, nested ones dotted, e.g.:

@@ -9,18 +9,15 @@ and windows blocks of at most FRAME_BLOCK values (`frame_blocks`), sums them
 in frame order into one buffer (`overlap_add`), and divides the sum by the
 overlap-added squared window, built from one hop (`divide_window_sum`).
 
-Threads start only in `dealer`: one worker per CPU in the process's
-affinity beyond the calling thread's, joined before the call returns. The
-vocoder and the noise morph deal their frame blocks through it, and the
-rank median its line tasks. The STFT, the ISTFT and the network median run
-on the calling thread: their passes are short, a worker woken for them
-mostly ran on the caller's own CPU, and on short inputs they measured
-slower with two CPUs than with one. The median's three rules (the network,
-the ranks and the edge sorts) are plain functions of lines that allocate
-their own scratch, so they share nothing between tasks and need no dealer
-to run. Rows and blocks are computed on their own, and every overlap-add
-and every step that carries state from one frame to the next stays on the
-calling thread in frame order, so all outputs are bit-identical for any
+Threads start only in `dealer`: one worker per CPU in the process's affinity
+beyond the calling thread's, joined before the call returns. The STFT, the
+ISTFT, the vocoder and the noise morph deal their frame blocks through it,
+and the rank median its line tasks; the network median's short passes
+measured no faster dealt, so it runs on the calling thread. The median's
+three rules are plain functions of lines that own their scratch, so they
+need no dealer. Rows and blocks are computed on their own, and every
+overlap-add and every step that carries state from frame to frame stays on
+the calling thread in frame order, so all outputs are bit-identical for any
 thread count; no setting changes the count.
 """
 
@@ -29,7 +26,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
@@ -179,17 +176,22 @@ def n_frames_for(length: int, params: StftParams) -> int:
 def stft(signal: AudioBuffer, params: StftParams, pad: int = 0) -> Spectrogram:
     """Short-time Fourier transform: frame m is frames_at's frame at start
     m*hop - pad, for the n_frames_for(len + 2*pad) frames that cover the
-    signal with `pad` zeros on each side (none for an empty signal, pad 0),
-    transformed block by block on the calling thread."""
+    signal with `pad` zeros on each side (none for an empty signal, pad 0)."""
     x = signal.samples
     w, h = params.window_size, params.hop_size
     m = n_frames_for(len(x) + 2 * pad, params)
     values = np.empty((m, params.n_bins), dtype=np.complex128)
     starts = np.arange(m) * h - pad
     win = params.window()
-    for b0, b1 in frame_blocks(m, w):
+
+    def transform(block):  # on a dealt thread
+        b0, b1 = block
         np.fft.rfft(frames_at(x, starts[b0:b1], win, np.empty((b1 - b0, w))), axis=1,
                     out=values[b0:b1])
+
+    with dealer() as deal:
+        for _ in deal(transform, frame_blocks(m, w)):
+            pass
     return Spectrogram(values, w, h, signal.sample_rate)
 
 
@@ -243,11 +245,11 @@ def istft(spec: Spectrogram) -> AudioBuffer:
     The spectrogram's window size and hop are the framing, and the output
     spans the (M-1)*hop + window samples its frames cover. Round-trips
     istft(stft(x)) exactly wherever the accumulated squared window is nonzero.
-    Its blocks are inverted on the calling thread.
     """
     w, h, m = spec.window_size, spec.hop_size, spec.n_frames
-    out = synthesize(map, lambda block: spec.values[block[0] : block[1]],
-                     frame_blocks(m, w), m, StftParams(w, h).window(), h)
+    with dealer() as deal:
+        out = synthesize(deal, lambda block: spec.values[block[0] : block[1]],
+                         frame_blocks(m, w), m, StftParams(w, h).window(), h)
     return AudioBuffer(out, spec.sample_rate)
 
 
@@ -256,9 +258,9 @@ def synthesize(deal, spectrum, items, n_frames: int, win: np.ndarray, hop: int,
     """n_frames one-sided spectra inverted, windowed by win (W values), laid
     hop apart, overlap-added and divided by divide_window_sum with floor: the
     (n_frames-1)*hop + W samples, none for no frames. Item i of items is for
-    block i of frame_blocks(n_frames, W): on the thread that deal (a dealer's
-    deal, or map) gives it to, spectrum(item) gives the block's spectra,
-    inverted and windowed there; the calling thread adds them in frame order."""
+    block i of frame_blocks(n_frames, W): on a thread a dealer's deal deals
+    it to, spectrum(item) gives the block's spectra, inverted and windowed
+    there; the calling thread adds the blocks in frame order."""
     w = len(win)
     out = np.zeros((n_frames - 1) * hop + w if n_frames else 0)
 
@@ -316,12 +318,11 @@ def median_filter_axis(mag: Spectrogram, axis: str, length: int) -> Spectrogram:
     invented. length must be odd and positive; values must be finite.
 
     Full windows take one of two exact rules, chosen from length, on chunks
-    of whole lines of about _MEDIAN_BLOCK values; each rule allocates its
-    own scratch. dealer deals the ranks in at most one task per CPU, task i
-    taking chunks i, i + tasks, ...; the network runs as one task. Task 0,
-    on the calling thread, first runs the third rule, _edge_medians, on the
-    truncated edge windows. All three are plain functions of lines; this
-    function only validates, lays out the lines, picks a rule, chunks, deals:
+    of whole lines of about _MEDIAN_BLOCK values. The network runs as one
+    task; dealer deals the ranks in at most one task per CPU, task i taking
+    chunks i, i + tasks, .... Task 0, on the calling thread, first runs the
+    third rule, _edge_medians, on the truncated edge windows. This function
+    only validates, lays out the lines, picks a rule, chunks and deals:
 
     - length <= _NETWORK_MAX: the comparator network of _median_network,
       applied with np.minimum/np.maximum to the length shifted slices of a
@@ -381,7 +382,7 @@ def median_filter_axis(mag: Spectrogram, axis: str, length: int) -> Spectrogram:
         if i < tasks:
             rule(data, out[:, half : n - half], chunks[i::tasks])
 
-    with dealer() if tasks > 1 else nullcontext(map) as deal:
+    with dealer() as deal:
         for _ in deal(work, range(max(tasks, 1))):
             pass
     return mag.copy_with(result)

@@ -698,8 +698,8 @@ def test_istft_peak_is_output_plus_blocks(monkeypatch):
 
 
 def test_threads_only_where_a_second_cpu_pays(monkeypatch):
-    """With two CPUs, the STFT, the ISTFT and the network medians run on the
-    calling thread and submit nothing to a worker, while the rank medians,
+    """With two CPUs, the network medians run on the calling thread and
+    submit nothing to a worker, while the STFT, the ISTFT, the rank medians,
     the plain vocoder and the noise morph deal."""
     submitted = []
 
@@ -720,8 +720,8 @@ def test_threads_only_where_a_second_cpu_pays(monkeypatch):
     params = StftParams(512, 128)
     spec = stft(x, params)
     assert len(core.frame_blocks(spec.n_frames, 512)) == 3
-    assert submits(lambda: stft(x, params)) == 0
-    assert submits(lambda: istft(spec)) == 0
+    assert submits(lambda: stft(x, params)) > 0
+    assert submits(lambda: istft(spec)) > 0
     # 695 x 257: at least 17 network chunks along either axis, 3 rank chunks
     grid = mag_spec(np.random.default_rng(7).random((695, 257)))
     for axis in ("time", "frequency"):
