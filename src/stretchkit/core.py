@@ -63,7 +63,7 @@ class AudioBuffer:
         if self.samples.ndim != 1:
             raise ConfigurationError("AudioBuffer requires a 1-D sample array")
         rate = self.sample_rate
-        if isinstance(rate, bool) or not isinstance(rate, (int, np.integer)) or rate <= 0:
+        if not _is_integer(rate) or rate <= 0:
             raise ConfigurationError(f"sample_rate must be a positive integer, got {rate!r}")
         if self.samples.size and not np.all(np.isfinite(self.samples)):
             raise ConfigurationError("AudioBuffer samples must be finite")
@@ -110,6 +110,9 @@ class StftParams:
     hop_size: int
 
     def __post_init__(self):
+        for name in ("window_size", "hop_size"):
+            if not _is_integer(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not 0 < self.window_size <= MAX_WINDOW:
             raise ConfigurationError(
                 f"window_size must be positive and at most {MAX_WINDOW}, got {self.window_size}"
@@ -131,15 +134,21 @@ class StftParams:
         return np.ones(1) if n == 1 else 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)[:-1])
 
 
+def _is_integer(value) -> bool:
+    """An int or a numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_alpha(alpha: float) -> None:
-    """Reject a stretch factor that is not positive and finite."""
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ConfigurationError(f"alpha must be positive and finite, got {alpha}")
+    """Reject a stretch factor that is not a positive, finite real, and a bool."""
+    real = _is_integer(alpha) or isinstance(alpha, (float, np.floating))
+    if not (real and math.isfinite(alpha) and alpha > 0):
+        raise ConfigurationError(f"alpha must be positive and finite, got {alpha!r}")
 
 
 def check_seed(seed: int) -> None:
     """Reject a seed the PCG64 generator cannot take, and a bool."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not _is_integer(seed) or seed < 0:
         raise ConfigurationError(f"seed must be a non-negative integer, got {seed!r}")
 
 

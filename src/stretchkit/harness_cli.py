@@ -19,6 +19,9 @@ def main(argv=None) -> int:
     acc.add_argument("--filter", default=None, help="only criteria whose name contains this")
     acc.add_argument("--report", type=Path, default=None, help="write full CSV report here")
     args = parser.parse_args(argv)
+    if args.report is not None and not args.report.parent.is_dir():
+        print(f"report directory {args.report.parent} does not exist", file=sys.stderr)
+        return 1
 
     try:
         from .acceptance import run_acceptance

@@ -15,6 +15,12 @@ and the draws equal one draw of the output length bit for bit.
 Two variants exist: 'multiply' scales the excitation bins by the target
 magnitudes (keeping their stochastic magnitude variation), while 'replace'
 discards the excitation magnitudes and keeps only their phases.
+
+Only stretch_noise takes and returns an AudioBuffer. Its steps are plain
+arrays: log_magnitude(spec, floor_db), lerp_frames(logmag, positions),
+morph(interp, excitation_spec) and morph_replace(interp, excitation_spec)
+take and return frames x bins grids, and generate_excitation(length, seed)
+returns the samples.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ import numpy as np
 from .core import (
     MAX_AMPLITUDE,
     AudioBuffer,
-    Spectrogram,
     StftParams,
     check_alpha,
     check_seed,
@@ -69,9 +74,9 @@ class NoiseMorphParams:
         return StftParams(self.window_size, self.hop_size)
 
 
-def log_magnitude(spec: Spectrogram, floor_db: float = -120.0) -> Spectrogram:
-    """10*log10 of the bin magnitudes, floored at floor_db so every entry is
-    finite and at least floor_db.
+def log_magnitude(spec: np.ndarray, floor_db: float = -120.0) -> np.ndarray:
+    """10*log10 of the magnitudes of a grid of bins, floored at floor_db so
+    every entry is finite and at least floor_db.
 
     The floor is absolute, not relative to the signal's level: every bin with
     magnitude below 10^(floor_db/10) reads floor_db. So noise morphing is not
@@ -79,21 +84,21 @@ def log_magnitude(spec: Spectrogram, floor_db: float = -120.0) -> Spectrogram:
     comes out of stretch_noise at the floor's level, about 1.7e-13 peak with
     the default -120.
     """
-    db = np.abs(spec.values)
+    db = np.abs(spec)
     with np.errstate(divide="ignore"):
         np.log10(db, out=db)
     db *= 10.0
-    return spec.copy_with(np.maximum(db, floor_db, out=db))
+    return np.maximum(db, floor_db, out=db)
 
 
-def lerp_frames(logmag: Spectrogram, positions: np.ndarray) -> Spectrogram:
-    """One output frame per entry of positions: the input read at that
-    fractional frame position, clamped to [0, M - 1], blending the two
-    neighbouring frames per bin. An integer position reads its frame exactly.
-    Raises ConfigurationError for an empty spectrogram or a non-finite
-    position.
+def lerp_frames(logmag: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """One output frame per entry of positions: the M x K grid logmag read
+    at that fractional frame position, clamped to [0, M - 1], blending the
+    two neighbouring frames per bin. An integer position reads its frame
+    exactly. Raises ConfigurationError for a grid of no frames or a
+    non-finite position.
     """
-    m = logmag.n_frames
+    m = len(logmag)
     if m == 0:
         raise ConfigurationError("cannot interpolate a spectrogram with no frames")
     positions = np.asarray(positions, dtype=np.float64)
@@ -103,13 +108,12 @@ def lerp_frames(logmag: Spectrogram, positions: np.ndarray) -> Spectrogram:
     lo = np.floor(pos).astype(int)
     hi = np.minimum(lo + 1, m - 1)
     frac = (pos - lo)[:, None]
-    v = logmag.values
-    return logmag.copy_with((1.0 - frac) * v[lo] + frac * v[hi])
+    return (1.0 - frac) * logmag[lo] + frac * logmag[hi]
 
 
-def generate_excitation(length: int, seed: int | np.random.Generator,
-                        sample_rate: int = 44100) -> AudioBuffer:
-    """Standard-Gaussian white noise; bit-reproducible for a given seed.
+def generate_excitation(length: int, seed: int | np.random.Generator) -> np.ndarray:
+    """length samples of standard-Gaussian white noise; bit-reproducible for
+    a given seed.
 
     Uses the PCG64 generator, whose stream is stable across platforms and
     numpy releases for a fixed seed. An int seed starts the stream; a
@@ -124,34 +128,29 @@ def generate_excitation(length: int, seed: int | np.random.Generator,
     else:
         check_seed(seed)
         rng = np.random.Generator(np.random.PCG64(seed))
-    return AudioBuffer(rng.standard_normal(length), sample_rate)
+    return rng.standard_normal(length)
 
 
-def _check_shapes(interp: Spectrogram, excitation_spec: Spectrogram):
-    if interp.values.shape != excitation_spec.values.shape:
+def _check_shapes(interp: np.ndarray, excitation_spec: np.ndarray):
+    if interp.shape != excitation_spec.shape:
         raise ConfigurationError(
-            f"interpolated spectrogram shape {interp.values.shape} does not match "
-            f"excitation shape {excitation_spec.values.shape}"
+            f"interpolated spectrogram shape {interp.shape} does not match "
+            f"excitation shape {excitation_spec.shape}"
         )
 
 
-def morph(interp: Spectrogram, excitation_spec: Spectrogram) -> Spectrogram:
+def morph(interp: np.ndarray, excitation_spec: np.ndarray) -> np.ndarray:
     """Modulate the (window-energy-normalized) excitation bins by the
-    interpolated target magnitudes: E * 10^(N/10)."""
+    interpolated target log magnitudes, grids of one shape: E * 10^(N/10)."""
     _check_shapes(interp, excitation_spec)
-    return excitation_spec.copy_with(
-        excitation_spec.values * 10.0 ** (interp.values / 10.0)
-    )
+    return excitation_spec * 10.0 ** (interp / 10.0)
 
 
-def morph_replace(interp: Spectrogram, excitation_spec: Spectrogram) -> Spectrogram:
+def morph_replace(interp: np.ndarray, excitation_spec: np.ndarray) -> np.ndarray:
     """Keep only the excitation phases; magnitudes become exactly the
     interpolated targets. Zero excitation bins are assigned phase 0."""
     _check_shapes(interp, excitation_spec)
-    phase = np.angle(excitation_spec.values)
-    return excitation_spec.copy_with(
-        10.0 ** (interp.values / 10.0) * np.exp(1j * phase)
-    )
+    return 10.0 ** (interp / 10.0) * np.exp(1j * np.angle(excitation_spec))
 
 
 def stretch_noise(
@@ -192,11 +191,11 @@ def stretch_noise(
     # overlap coverage, so the overlap-add normalization never divides by a
     # vanishing window sum (morphed frames are not time-tapered the way
     # analysis frames are).
-    w, h, rate = sp.window_size, sp.hop_size, noise.sample_rate
+    w, h = sp.window_size, sp.hop_size
     lead_frames = -(-w // h)
     pad = lead_frames * h
     n_frames = n_frames_for(out_length + 2 * pad, sp)
-    logmag = log_magnitude(stft(noise, sp), params.floor_db)
+    logmag = log_magnitude(stft(noise, sp).values, params.floor_db)
     starts = (np.arange(n_frames) - lead_frames) * h
     positions = (np.arange(n_frames) - lead_frames) / alpha
     win, energy = sp.window(), window_energy(sp)
@@ -211,7 +210,7 @@ def stretch_noise(
         for b0, b1 in frame_blocks(n_frames, w):
             lo = min(max(0, starts[b0]), out_length)
             hi = max(min(out_length, starts[b1 - 1] + w), lo)
-            fresh = generate_excitation(hi - part_lo - len(part), rng, rate).samples
+            fresh = generate_excitation(hi - part_lo - len(part), rng)
             part, part_lo = np.concatenate((part[lo - part_lo :], fresh)), lo
             yield b0, b1, part, lo
 
@@ -220,8 +219,8 @@ def stretch_noise(
         spec = np.fft.rfft(frames_at(part, starts[b0:b1] - lo, win, np.empty((b1 - b0, w))),
                            axis=1)
         spec /= energy  # in place
-        return shape(lerp_frames(logmag, positions[b0:b1]), Spectrogram(spec, w, h, rate)).values
+        return shape(lerp_frames(logmag, positions[b0:b1]), spec)
 
     with dealer() as deal:
         out = synthesize(deal, spectrum, excitation_blocks(), n_frames, win, h)
-    return AudioBuffer(out[pad : pad + out_length], rate)
+    return AudioBuffer(out[pad : pad + out_length], noise.sample_rate)

@@ -57,9 +57,9 @@ class StretchConfig:
     transient: TransientDetectParams = field(default_factory=TransientDetectParams)
 
     def __post_init__(self):
-        object.__setattr__(self, "mode", self.mode.lower())
-        if self.mode not in MODES:
+        if not (isinstance(self.mode, str) and self.mode.lower() in MODES):
             raise ConfigurationError(f"mode must be one of {MODES}, got {self.mode!r}")
+        object.__setattr__(self, "mode", self.mode.lower())
         check_alpha(self.alpha)
         check_seed(self.seed)
 
@@ -115,12 +115,10 @@ def stretch_components(
 
     sines = stretch_sines(components.sines, alpha, config.pv)
     events = detect_events(components.transients, config.transient)
-    transients = reposition_events(
-        events, alpha, output_length(len(components.transients), alpha), rate
-    )
+    transients = reposition_events(events, alpha, output_length(len(components.transients), alpha))
     noise = stretch_noise(components.noise, alpha, config.noise, variant, seed=config.seed)
-    out = AudioBuffer(sines.samples + transients.samples + noise.samples, rate)
-    return out, BranchOutputs(components, sines, transients, noise, events)
+    out = AudioBuffer(sines.samples + transients + noise.samples, rate)
+    return out, BranchOutputs(components, sines, AudioBuffer(transients, rate), noise, events)
 
 
 def stretch(x: AudioBuffer, config: StretchConfig) -> tuple[AudioBuffer, BranchOutputs | None]:

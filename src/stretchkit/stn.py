@@ -7,6 +7,11 @@ convert the filtered ratios into soft masks through a saturating function,
 and apply the masks to the complex spectrogram. Each stage inverts only the
 part it keeps and takes the rest as input minus kept, so the components sum
 back to the input by construction.
+
+Between the transforms the grids are plain arrays: tonalness_transientness
+takes the magnitude Spectrogram that median_filter_axis filters and returns
+the score arrays (R_s, R_t), and compute_masks(r_s, r_t, thresholds) builds
+a MaskSet of arrays from them.
 """
 
 from __future__ import annotations
@@ -123,7 +128,8 @@ def median_lengths(params: StftParams, sample_rate: int, config: StnConfig):
 
 
 def tonalness_transientness(mag: Spectrogram, time_median_len: int, freq_median_len: int):
-    """Per-bin tonalness and transientness from axis-wise median filtering.
+    """Per-bin tonalness and transientness arrays (R_s, R_t) of a magnitude
+    spectrogram, from axis-wise median filtering.
 
     The time-axis median preserves steady spectral ridges; the frequency-axis
     median preserves broadband vertical events. Their ratio scores each bin:
@@ -136,21 +142,20 @@ def tonalness_transientness(mag: Spectrogram, time_median_len: int, freq_median_
     with np.errstate(invalid="ignore", divide="ignore"):
         r_s = np.divide(m_time, total, out=m_time)
     r_s[total <= 0.0] = 0.5
-    return mag.copy_with(r_s), mag.copy_with(np.subtract(1.0, r_s, out=total))
+    return r_s, np.subtract(1.0, r_s, out=total)
 
 
-def compute_masks(r_s: Spectrogram, r_t: Spectrogram, thresholds: StnThresholds) -> MaskSet:
-    """Soft masks from tonalness/transientness scores.
+def compute_masks(r_s: np.ndarray, r_t: np.ndarray, thresholds: StnThresholds) -> MaskSet:
+    """Soft masks from tonalness/transientness score arrays of one shape.
 
     The noise mask is the residual 1 - S - T, clamped at zero only to guard
     user-supplied thresholds below 0.5 (with the defaults S + T <= 1 always).
     """
-    if r_s.values.shape != r_t.values.shape:
+    if r_s.shape != r_t.shape:
         raise ConfigurationError("R_s and R_t shapes differ")
-    s = saturating_mask(r_s.values, thresholds)
-    t = saturating_mask(r_t.values, thresholds)
-    n = np.maximum(1.0 - s - t, 0.0)
-    return MaskSet(sines=s, transients=t, noise=n)
+    s = saturating_mask(r_s, thresholds)
+    t = saturating_mask(r_t, thresholds)
+    return MaskSet(sines=s, transients=t, noise=np.maximum(1.0 - s - t, 0.0))
 
 
 def _stage_split(x: AudioBuffer, params: StftParams, thresholds, config: StnConfig,
@@ -168,17 +173,12 @@ def _stage_split(x: AudioBuffer, params: StftParams, thresholds, config: StnConf
     spec = stft(x, params, pad)
     t_len, f_len = median_lengths(params, x.sample_rate, config)
     r_s, r_t = tonalness_transientness(spec.copy_with(np.abs(spec.values)), t_len, f_len)
-    mask = saturating_mask((r_s if keep == "sines" else r_t).values, thresholds)
     masks = compute_masks(r_s, r_t, thresholds) if with_masks else None
+    spec.values *= saturating_mask(r_s if keep == "sines" else r_t, thresholds)
     del r_s, r_t
-    spec.values *= mask
-    del mask
     kept = istft(spec).samples[pad : pad + len(x)]
-    return (
-        AudioBuffer(kept, x.sample_rate),
-        AudioBuffer(x.samples - kept, x.sample_rate),
-        masks,
-    )
+    rate = x.sample_rate
+    return AudioBuffer(kept, rate), AudioBuffer(x.samples - kept, rate), masks
 
 
 def stn_decompose(x: AudioBuffer, config: StnConfig | None = None) -> StnComponents:

@@ -138,10 +138,9 @@ def detect_events(
     return events
 
 
-def reposition_events(
-    events: list[TransientEvent], alpha: float, out_length: int, sample_rate: int = 44100
-) -> AudioBuffer:
-    """Sum each event into a zero buffer with its onset at round(alpha*onset).
+def reposition_events(events: list[TransientEvent], alpha: float, out_length: int) -> np.ndarray:
+    """Sum each event into out_length zero samples with its onset at
+    round(alpha*onset); returns the samples.
 
     Segments whose tail would run past out_length are clipped; overlapping
     repositioned segments are summed (the edge fades keep that click-free).
@@ -161,7 +160,7 @@ def reposition_events(
         end = min(out_length, start + len(seg))
         if end > start:
             out[start:end] += seg[: end - start]
-    return AudioBuffer(out, sample_rate)
+    return out
 
 
 def onsets_csv_rows(events: list[TransientEvent], alpha: float):

@@ -51,3 +51,38 @@ def test_traced_peak_count_is_peaks_per_frame(monkeypatch):
     assert len(counts) == len(frames) > 0
     for mag, count in zip(frames, counts):
         assert count == find_peaks(mag).shape[0] > 3
+
+
+def test_traced_calls_keep_the_span_contract(monkeypatch, tmp_path, capsys):
+    """With the tracer installed, time_stretch in all four modes and one CLI
+    call with stems and onsets run, no span's children outlast it, and
+    layer_metrics gives every per-layer metric. A traced function whose
+    result lost what a span count reads (n_frames, values, len) fails here."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+
+    from stretchkit import cli, pipeline
+    from stretchkit.signals import gen_signal
+    from stretchkit.wavio import write_wav
+
+    x = gen_signal("click_plus_hiss", 0.5, seed=3)
+    inp = tmp_path / "in.wav"
+    write_wav(x, inp)
+    tracer = spans.Tracer()
+    try:
+        spans.install(tracer)
+        for mode in pipeline.MODES:
+            pipeline.time_stretch(x, pipeline.StretchConfig(alpha=2.0, mode=mode))
+            tracer.call_id += 1
+        assert cli.main([str(inp), str(tmp_path / "out.wav"), "--alpha", "2",
+                         "--stems", str(tmp_path / "stems"),
+                         "--onsets", str(tmp_path / "onsets.csv")]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert spans.child_sum_violations(tracer.spans) == []
+    metrics = spans.layer_metrics(tracer.spans, {})
+    assert set(metrics) == {name for name, _ in spans.PER_LAYER if name != spans.OVERHEAD}
+    called = {s.name for s in tracer.spans}
+    assert {"core.stft", "core.istft", "core.median_time", "core.median_freq",
+            "noisemorph.excitation", "transients.reposition", "wavio.write", "cli.run"} <= called

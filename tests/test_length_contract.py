@@ -41,7 +41,8 @@ def test_branch_lengths(n, alpha, seed):
     assert_contract(stretch_sines(x, alpha), n, alpha)
     assert_contract(stretch_plain(x, alpha), n, alpha)
     events = detect_events(x)
-    assert_contract(reposition_events(events, alpha, output_length(n, alpha), SR), n, alpha)
+    repositioned = reposition_events(events, alpha, output_length(n, alpha))
+    assert_contract(AudioBuffer(repositioned, SR), n, alpha)
     assert_contract(stretch_noise(x, alpha), n, alpha)
 
 

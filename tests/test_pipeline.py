@@ -124,6 +124,43 @@ def test_section_checks(section, name, value):
         section(**{name: value})
 
 
+TYPE_CHECKS = [
+    (StnConfig, "long_window", 8192.0),
+    (StnConfig, "short_hop", np.float64(128)),
+    (NoiseMorphParams, "hop_size", True),
+    (NoiseMorphParams, "window_size", "2048"),
+    (PvParams, "window_size", np.float64(4096)),
+    (StretchConfig, "alpha", "2"),
+    (StretchConfig, "alpha", None),
+    (StretchConfig, "alpha", True),
+    (StretchConfig, "alpha", np.bool_(True)),
+    (StretchConfig, "mode", None),
+]
+
+
+@pytest.mark.parametrize("section,name,value", TYPE_CHECKS,
+                         ids=[f"{s.__name__}.{n}={v!r}" for s, n, v in TYPE_CHECKS])
+def test_wrong_types_are_configuration_errors(section, name, value):
+    """Sizes are integers (numpy integers too, not bool), alpha is a real
+    that is not a bool, and the mode is a str: anything else raises
+    ConfigurationError when the section is built, not a TypeError or an
+    AttributeError once a stretch runs."""
+    with pytest.raises(ConfigurationError, match=name):
+        section(**{name: value})
+
+
+def test_numpy_sizes_and_alphas_stretch_as_python_numbers():
+    """nm reads every section's sizes: numpy ones give the same bytes."""
+    x = gen_signal("click_plus_hiss", 0.3)
+    plain = StretchConfig(alpha=2.0, stn=StnConfig(long_window=2048, long_hop=512),
+                          noise=NoiseMorphParams(256, 64), pv=PvParams(512, 128))
+    numpy = StretchConfig(alpha=np.float64(2.0),
+                          stn=StnConfig(long_window=np.int32(2048), long_hop=np.int64(512)),
+                          noise=NoiseMorphParams(np.int32(256), np.int32(64)),
+                          pv=PvParams(np.int64(512), np.int32(128)))
+    assert time_stretch(x, numpy).samples.tobytes() == time_stretch(x, plain).samples.tobytes()
+
+
 @pytest.mark.parametrize("mode", ["nm", "ni", "an"])
 def test_pitch_preserved(mode):
     x = gen_signal("sine", 1.0)
