@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from itertools import islice
 
@@ -110,18 +111,14 @@ class StftParams:
     hop_size: int
 
     def __post_init__(self):
-        for name in ("window_size", "hop_size"):
-            if not _is_integer(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        check_fields(self)
         if not 0 < self.window_size <= MAX_WINDOW:
             raise ConfigurationError(
                 f"window_size must be positive and at most {MAX_WINDOW}, got {self.window_size}"
             )
-        if self.hop_size <= 0:
-            raise ConfigurationError(f"hop_size must be positive, got {self.hop_size}")
-        if self.hop_size > self.window_size:
+        if not 0 < self.hop_size <= self.window_size:
             raise ConfigurationError(
-                f"hop_size {self.hop_size} exceeds window_size {self.window_size}"
+                f"hop_size must be from 1 to window_size {self.window_size}, got {self.hop_size}"
             )
 
     @property
@@ -139,10 +136,45 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """A finite real: a finite float or numpy float, or an integer as
+    _is_integer takes it whose magnitude a float holds."""
+    return (isinstance(value, (float, np.floating)) and math.isfinite(value)
+            or _is_integer(value) and abs(value) <= sys.float_info.max)
+
+
+# what a config field of each declared type takes, as a ConfigurationError names it
+_FIELD_RULES = {
+    "int": (_is_integer, "an integer"),
+    "float": (_is_real, "a finite real"),
+    "str": (lambda value: isinstance(value, str), "a str"),
+}
+
+
+def check_fields(section) -> None:
+    """Check every field of a config dataclass by the type it declares (the
+    annotation string, as each config module imports annotations from
+    __future__): int, float and str by _FIELD_RULES, any other name as an
+    instance of that class in the section's module. Then build StftParams
+    for each (window, hop) pair of field names in the class's FRAMINGS, if it
+    has one. Raises ConfigurationError naming the field or the pair. Each
+    section's __post_init__ calls this, then checks its own ranges."""
+    names = vars(sys.modules[type(section).__module__])
+    for f in fields(section):
+        value = getattr(section, f.name)
+        rule, kind = _FIELD_RULES.get(f.type) or (None, f"a {f.type}")
+        if not (rule(value) if rule else isinstance(value, names[f.type])):
+            raise ConfigurationError(f"{f.name} must be {kind}, got {value!r}")
+    for window, hop in getattr(section, "FRAMINGS", ()):
+        try:
+            StftParams(getattr(section, window), getattr(section, hop))
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{window}/{hop}: {exc}") from None
+
+
 def check_alpha(alpha: float) -> None:
     """Reject a stretch factor that is not a positive, finite real, and a bool."""
-    real = _is_integer(alpha) or isinstance(alpha, (float, np.floating))
-    if not (real and math.isfinite(alpha) and alpha > 0):
+    if not (_is_real(alpha) and alpha > 0):
         raise ConfigurationError(f"alpha must be positive and finite, got {alpha!r}")
 
 
@@ -185,7 +217,10 @@ def n_frames_for(length: int, params: StftParams) -> int:
 def stft(signal: AudioBuffer, params: StftParams, pad: int = 0) -> Spectrogram:
     """Short-time Fourier transform: frame m is frames_at's frame at start
     m*hop - pad, for the n_frames_for(len + 2*pad) frames that cover the
-    signal with `pad` zeros on each side (none for an empty signal, pad 0)."""
+    signal with `pad` zeros on each side (none for an empty signal, pad 0).
+    pad must be a non-negative integer."""
+    if not _is_integer(pad) or pad < 0:
+        raise ConfigurationError(f"pad must be a non-negative integer, got {pad!r}")
     x = signal.samples
     w, h = params.window_size, params.hop_size
     m = n_frames_for(len(x) + 2 * pad, params)
@@ -324,7 +359,7 @@ def median_filter_axis(mag: Spectrogram, axis: str, length: int) -> Spectrogram:
 
     Each position takes the median over its neighbors within length // 2
     that exist, so edges use truncated windows and no padding values are
-    invented. length must be odd and positive; values must be finite.
+    invented. length must be an odd positive integer; values must be finite.
 
     Full windows take one of two exact rules, chosen from length, on chunks
     of whole lines of about _MEDIAN_BLOCK values. The network runs as one
@@ -359,8 +394,8 @@ def median_filter_axis(mag: Spectrogram, axis: str, length: int) -> Spectrogram:
     count. The one exception is a median that ties -0.0 with +0.0, where
     either zero may come back; magnitudes from np.abs hold no -0.0.
     """
-    if length < 1 or length % 2 == 0:
-        raise ConfigurationError(f"median length must be odd and positive, got {length}")
+    if not _is_integer(length) or length < 1 or length % 2 == 0:
+        raise ConfigurationError(f"median length must be an odd positive integer, got {length!r}")
     ax = {TIME_AXIS: 0, FREQ_AXIS: 1}.get(axis)
     if ax is None:
         raise ConfigurationError(f"axis must be 'time' or 'frequency', got {axis!r}")

@@ -24,11 +24,14 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        from .acceptance import run_acceptance
+        from .acceptance import CRITERIA, run_acceptance
     except ModuleNotFoundError as exc:
         if exc.name != "scipy":
             raise
         print(INSTALL_HINT, file=sys.stderr)
+        return 1
+    if args.filter is not None and not any(args.filter in name for name, _ in CRITERIA):
+        print(f"no criterion matches {args.filter!r}", file=sys.stderr)
         return 1
     ok, _ = run_acceptance(args.filter, args.report)
     return 0 if ok else 1

@@ -34,7 +34,9 @@ from .core import (
     MAX_AMPLITUDE,
     AudioBuffer,
     StftParams,
+    _is_integer,
     check_alpha,
+    check_fields,
     check_seed,
     dealer,
     frame_blocks,
@@ -62,13 +64,12 @@ class NoiseMorphParams:
     window_size: int = 2048
     hop_size: int = 1024
     floor_db: float = -120.0
+    FRAMINGS = (("window_size", "hop_size"),)
 
     def __post_init__(self):
-        if not (math.isfinite(self.floor_db) and self.floor_db <= MAX_FLOOR_DB):
-            raise ConfigurationError(
-                f"floor_db must be finite and at most {MAX_FLOOR_DB:g}, got {self.floor_db}"
-            )
-        self.stft_params()
+        check_fields(self)
+        if self.floor_db > MAX_FLOOR_DB:
+            raise ConfigurationError(f"floor_db {self.floor_db} exceeds the limit {MAX_FLOOR_DB:g}")
 
     def stft_params(self) -> StftParams:
         return StftParams(self.window_size, self.hop_size)
@@ -121,8 +122,8 @@ def generate_excitation(length: int, seed: int | np.random.Generator) -> np.ndar
     from Generator(PCG64(seed)) equal one draw of n1 + n2 + ... from seed,
     bit for bit.
     """
-    if length < 0:
-        raise ConfigurationError(f"length must be non-negative, got {length}")
+    if not _is_integer(length) or length < 0:
+        raise ConfigurationError(f"length must be a non-negative integer, got {length!r}")
     if isinstance(seed, np.random.Generator):
         rng = seed
     else:
@@ -156,7 +157,7 @@ def morph_replace(interp: np.ndarray, excitation_spec: np.ndarray) -> np.ndarray
 def stretch_noise(
     noise: AudioBuffer,
     alpha: float,
-    params: NoiseMorphParams | None = None,
+    params: NoiseMorphParams = NoiseMorphParams(),
     variant: str = VARIANT_MULTIPLY,
     seed: int = 0,
 ) -> AudioBuffer:
@@ -176,8 +177,6 @@ def stretch_noise(
     thread, in block order, only the excitation samples its frames reach
     past the previous block's.
     """
-    if params is None:
-        params = NoiseMorphParams()
     if variant not in (VARIANT_MULTIPLY, VARIANT_REPLACE):
         raise ConfigurationError(f"unknown morph variant {variant!r}")
     check_alpha(alpha)

@@ -15,7 +15,7 @@ import dataclasses
 import math
 from dataclasses import dataclass, field
 
-from .core import AudioBuffer, check_alpha, check_amplitude, check_seed, output_length
+from .core import AudioBuffer, check_alpha, check_amplitude, check_fields, check_seed, output_length
 from .errors import ConfigurationError
 from .noisemorph import (
     VARIANT_MULTIPLY,
@@ -29,12 +29,9 @@ from .vocoder import PvParams, stretch_plain, stretch_sines
 
 MODES = ("nm", "ni", "nd", "an")
 
-# the sample-denominated (window, hop) pairs that for_rate rescales, per section
-RATE_SCALED_FIELDS = {
-    "stn": (("long_window", "long_hop"), ("short_window", "short_hop")),
-    "noise": (("window_size", "hop_size"),),
-    "pv": (("window_size", "synthesis_hop"),),
-}
+# the sample-counted (window, hop) pairs that for_rate rescales, per section
+RATE_SCALED_FIELDS = {"stn": StnConfig.FRAMINGS, "noise": NoiseMorphParams.FRAMINGS,
+                      "pv": PvParams.FRAMINGS}
 
 
 def _fast_length(n: int) -> int:
@@ -57,18 +54,20 @@ class StretchConfig:
     transient: TransientDetectParams = field(default_factory=TransientDetectParams)
 
     def __post_init__(self):
-        if not (isinstance(self.mode, str) and self.mode.lower() in MODES):
-            raise ConfigurationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        object.__setattr__(self, "mode", self.mode.lower())
         check_alpha(self.alpha)
         check_seed(self.seed)
+        check_fields(self)
+        if self.mode.lower() not in MODES:
+            raise ConfigurationError(f"mode must be one of {MODES}, got {self.mode!r}")
+        object.__setattr__(self, "mode", self.mode.lower())
 
     def for_rate(self, sample_rate: int) -> StretchConfig:
-        """A copy with the sample-denominated sizes rescaled from 44.1 kHz to
-        sample_rate, and each scaled section rebuilt so its checks run; self
-        at 44.1 kHz. Each window is scaled to the nearest even count of at
-        least 2, then rounded to the nearest even 5-smooth length (the shorter
-        on a tie), a length the FFT transforms fast. Its hop becomes
+        """A copy with the (window, hop) pairs that each section lists in its
+        FRAMINGS rescaled from 44.1 kHz to sample_rate, and each scaled
+        section rebuilt so its checks run; self at 44.1 kHz. Each window is
+        scaled to the nearest even count of at least 2, then rounded to the
+        nearest even 5-smooth length (the shorter on a tie), a length the FFT
+        transforms fast. Its hop becomes
         round(new window * hop / window), at least 1, from the section's own
         unscaled hop and window. Settings in seconds are left alone. A rate
         whose scaled sizes fail their section's checks (a window over

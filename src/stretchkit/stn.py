@@ -16,7 +16,6 @@ a MaskSet of arrays from them.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -29,6 +28,7 @@ from .core import (
     Spectrogram,
     StftParams,
     check_amplitude,
+    check_fields,
     istft,
     median_filter_axis,
     stft,
@@ -44,13 +44,10 @@ class StnThresholds:
     beta_l: float
 
     def __post_init__(self):
-        if not 0.0 < self.beta_u <= 1.0:
-            raise ConfigurationError(f"beta_u must be in (0, 1], got {self.beta_u}")
-        if not 0.0 <= self.beta_l < 1.0:
-            raise ConfigurationError(f"beta_l must be in [0, 1), got {self.beta_l}")
-        if self.beta_l >= self.beta_u:
+        check_fields(self)
+        if not 0.0 <= self.beta_l < self.beta_u <= 1.0:
             raise ConfigurationError(
-                f"beta_l ({self.beta_l}) must be below beta_u ({self.beta_u})"
+                f"need 0 <= beta_l < beta_u <= 1, got beta_l {self.beta_l}, beta_u {self.beta_u}"
             )
 
 
@@ -87,17 +84,13 @@ class StnConfig:
     stage2: StnThresholds = STAGE2_THRESHOLDS
     time_median_span_s: float = 0.2
     freq_median_span_hz: float = 500.0
+    FRAMINGS = (("long_window", "long_hop"), ("short_window", "short_hop"))
 
     def __post_init__(self):
+        check_fields(self)
         for name in ("time_median_span_s", "freq_median_span_hz"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigurationError(f"{name} must be positive and finite, got {value}")
-        for window, hop in (("long_window", "long_hop"), ("short_window", "short_hop")):
-            try:
-                StftParams(getattr(self, window), getattr(self, hop))
-            except ConfigurationError as exc:
-                raise ConfigurationError(f"{window}/{hop}: {exc}") from None
+            if getattr(self, name) <= 0:
+                raise ConfigurationError(f"{name} must be positive, got {getattr(self, name)}")
 
 
 def saturating_mask(a, thresholds: StnThresholds):
@@ -181,13 +174,13 @@ def _stage_split(x: AudioBuffer, params: StftParams, thresholds, config: StnConf
     return AudioBuffer(kept, rate), AudioBuffer(x.samples - kept, rate), masks
 
 
-def stn_decompose(x: AudioBuffer, config: StnConfig | None = None) -> StnComponents:
+def stn_decompose(x: AudioBuffer, config: StnConfig = StnConfig()) -> StnComponents:
     """Both decomposition stages, building only the masks they apply."""
     components, _ = _decompose(x, config, with_masks=False)
     return components
 
 
-def stn_decompose_with_masks(x: AudioBuffer, config: StnConfig | None = None):
+def stn_decompose_with_masks(x: AudioBuffer, config: StnConfig = StnConfig()):
     """Run both decomposition stages; also return the per-stage mask sets.
 
     Stage 1 keeps the sines via the tonalness mask and passes everything else
@@ -197,9 +190,7 @@ def stn_decompose_with_masks(x: AudioBuffer, config: StnConfig | None = None):
     return _decompose(x, config, with_masks=True)
 
 
-def _decompose(x: AudioBuffer, config: StnConfig | None, with_masks: bool):
-    if config is None:
-        config = StnConfig()
+def _decompose(x: AudioBuffer, config: StnConfig, with_masks: bool):
     if len(x) == 0:
         raise ConfigurationError("cannot decompose an empty signal")
     check_amplitude(x)

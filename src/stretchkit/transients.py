@@ -9,12 +9,11 @@ segments themselves are never time-stretched.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import MAX_OUTPUT_SAMPLES, AudioBuffer, check_alpha
+from .core import MAX_OUTPUT_SAMPLES, AudioBuffer, _is_integer, check_alpha, check_fields
 from .errors import ConfigurationError
 
 
@@ -32,10 +31,9 @@ class TransientDetectParams:
     min_gap_s: float = 0.020
 
     def __post_init__(self):
+        check_fields(self)
         for f in fields(self):
             value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ConfigurationError(f"{f.name} must be finite, got {value}")
             if f.name.endswith("_s") and value < 0:
                 raise ConfigurationError(f"{f.name} must be non-negative, got {value}")
         for name in ("frame_s", "hop_s", "rel_threshold"):
@@ -73,7 +71,7 @@ def _raised_cosine_fades(segment: np.ndarray, fade_in: int, fade_out: int) -> np
 
 
 def detect_events(
-    transient: AudioBuffer, params: TransientDetectParams | None = None
+    transient: AudioBuffer, params: TransientDetectParams = TransientDetectParams()
 ) -> list[TransientEvent]:
     """Find impulsive events via threshold crossings of the RMS envelope.
 
@@ -83,8 +81,6 @@ def detect_events(
     start slightly before the onset, carry raised-cosine edge fades, and
     never overlap each other.
     """
-    if params is None:
-        params = TransientDetectParams()
     sr = transient.sample_rate
     x = transient.samples
     frame = max(1, round(params.frame_s * sr))
@@ -146,9 +142,9 @@ def reposition_events(events: list[TransientEvent], alpha: float, out_length: in
     repositioned segments are summed (the edge fades keep that click-free).
     """
     check_alpha(alpha)
-    if not 0 <= out_length <= MAX_OUTPUT_SAMPLES:
+    if not (_is_integer(out_length) and 0 <= out_length <= MAX_OUTPUT_SAMPLES):
         raise ConfigurationError(
-            f"out_length must be in [0, {MAX_OUTPUT_SAMPLES}], got {out_length}"
+            f"out_length must be an integer in [0, {MAX_OUTPUT_SAMPLES}], got {out_length!r}"
         )
     out = np.zeros(out_length)
     for ev in events:

@@ -26,6 +26,7 @@ from .core import (
     AudioBuffer,
     StftParams,
     check_alpha,
+    check_fields,
     dealer,
     frame_blocks,
     frames_at,
@@ -41,9 +42,10 @@ from .errors import ConfigurationError
 class PvParams:
     window_size: int = 4096
     synthesis_hop: int = 1024
+    FRAMINGS = (("window_size", "synthesis_hop"),)
 
     def __post_init__(self):
-        self.stft_params()
+        check_fields(self)
         if self.window_size < 8:  # the 5 bins find_peaks needs
             raise ConfigurationError(f"window_size must be at least 8, got {self.window_size}")
         if self.synthesis_hop > self.window_size // 2:
@@ -105,12 +107,11 @@ def _inst_freq(phase, prev_phase, omega, dt):
     return omega + _princarg(phase - prev_phase - omega * dt) / dt
 
 
-def _pv_stretch(signal: AudioBuffer, alpha: float, pv: PvParams | None,
-                locked: bool) -> AudioBuffer:
+def _pv_stretch(signal: AudioBuffer, alpha: float, pv: PvParams, locked: bool) -> AudioBuffer:
     """The body of stretch_sines (locked) and stretch_plain."""
     check_alpha(alpha)
     x = signal.samples
-    params = (PvParams() if pv is None else pv).stft_params()
+    params = pv.stft_params()
     out_length = output_length(len(x), alpha)
     if out_length == 0 or len(x) == 0:
         return AudioBuffer(np.zeros(out_length), signal.sample_rate)
@@ -224,11 +225,11 @@ def _locked_block(spec, mag, dts, omega, synth_hop, state):
     return synth, (prev, rot, psi)
 
 
-def stretch_sines(sines: AudioBuffer, alpha: float, params: PvParams | None = None) -> AudioBuffer:
+def stretch_sines(sines: AudioBuffer, alpha: float, params: PvParams = PvParams()) -> AudioBuffer:
     """Time-stretch with identity phase locking; output len = round(alpha*N)."""
     return _pv_stretch(sines, alpha, params, True)
 
 
-def stretch_plain(x: AudioBuffer, alpha: float, params: PvParams | None = None) -> AudioBuffer:
+def stretch_plain(x: AudioBuffer, alpha: float, params: PvParams = PvParams()) -> AudioBuffer:
     """Plain phase vocoder (no phase locking); the listening-test anchor."""
     return _pv_stretch(x, alpha, params, False)

@@ -33,3 +33,15 @@ def test_report_to_a_missing_directory_fails_before_any_criterion(tmp_path, monk
     assert captured.out == ""
     assert captured.err.splitlines() == [f"report directory {report.parent} does not exist"]
     assert not report.parent.exists()
+
+
+def test_a_filter_that_matches_no_criterion_fails_before_any_criterion(monkeypatch, capsys):
+    """One stderr line and exit 1, with no criterion run, so a renamed
+    criterion cannot pass a filtered run by running nothing."""
+    from stretchkit import acceptance, harness_cli
+
+    monkeypatch.setattr(acceptance, "CRITERIA", [("never", lambda: pytest.fail("ran"))])
+    assert harness_cli.main(["run-acceptance", "--filter", "no_such_criterion"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["no criterion matches 'no_such_criterion'"]

@@ -8,10 +8,19 @@ import numpy as np
 import pytest
 
 from stretchkit import core, noisemorph, vocoder
-from stretchkit.core import MAX_AMPLITUDE, MAX_WINDOW, AudioBuffer
+from stretchkit.core import (
+    MAX_AMPLITUDE,
+    MAX_WINDOW,
+    TIME_AXIS,
+    AudioBuffer,
+    Spectrogram,
+    StftParams,
+    median_filter_axis,
+    stft,
+)
 from stretchkit.errors import ConfigurationError
 from stretchkit.metrics import dominant_frequency, octave_band_levels, onset_positions
-from stretchkit.noisemorph import NoiseMorphParams, stretch_noise
+from stretchkit.noisemorph import NoiseMorphParams, generate_excitation, stretch_noise
 from stretchkit.pipeline import (
     MODES,
     RATE_SCALED_FIELDS,
@@ -23,7 +32,7 @@ from stretchkit.pipeline import (
     time_stretch,
 )
 from stretchkit.signals import click_times, gen_signal
-from stretchkit.stn import StnConfig, stn_decompose
+from stretchkit.stn import StnConfig, StnThresholds, stn_decompose
 from stretchkit.transients import TransientDetectParams, reposition_events
 from stretchkit.vocoder import PvParams, stretch_plain, stretch_sines
 
@@ -135,6 +144,12 @@ TYPE_CHECKS = [
     (StretchConfig, "alpha", True),
     (StretchConfig, "alpha", np.bool_(True)),
     (StretchConfig, "mode", None),
+    (StnConfig, "time_median_span_s", "0.2"),
+    (TransientDetectParams, "frame_s", "0.01"),
+    (TransientDetectParams, "frame_s", True),
+    (NoiseMorphParams, "floor_db", None),
+    (NoiseMorphParams, "floor_db", True),
+    (StretchConfig, "stn", StnThresholds(0.9, 0.1)),
 ]
 
 
@@ -147,6 +162,44 @@ def test_wrong_types_are_configuration_errors(section, name, value):
     AttributeError once a stretch runs."""
     with pytest.raises(ConfigurationError, match=name):
         section(**{name: value})
+
+
+# (section, name, arguments): wrong types in sections built with a second
+# argument, and ints past the float range, too long for an id
+TYPE_CHECKS_WITH_ARGUMENTS = [
+    (StnThresholds, "beta_u", {"beta_u": "0.9", "beta_l": 0.7}),
+    (StretchConfig, "noise", {"mode": "nd", "noise": {}}),
+    (StretchConfig, "alpha", {"alpha": 10**400}),
+    (StnConfig, "time_median_span_s", {"time_median_span_s": 10**400}),
+]
+
+
+@pytest.mark.parametrize("section,name,arguments", TYPE_CHECKS_WITH_ARGUMENTS,
+                         ids=[f"{s.__name__}.{n}" for s, n, _ in TYPE_CHECKS_WITH_ARGUMENTS])
+def test_wrong_types_beside_other_arguments(section, name, arguments):
+    """As test_wrong_types_are_configuration_errors: ConfigurationError
+    naming the field when the section is built."""
+    with pytest.raises(ConfigurationError, match=name):
+        section(**arguments)
+
+
+_GRID = Spectrogram(np.ones((4, 5)), 8, 4, SR)
+INTEGER_ARGUMENTS = {
+    "median_filter_axis-True": ("length", lambda: median_filter_axis(_GRID, TIME_AXIS, True)),
+    "median_filter_axis-5.0": ("length", lambda: median_filter_axis(_GRID, TIME_AXIS, 5.0)),
+    "generate_excitation-2.5": ("length", lambda: generate_excitation(2.5, 0)),
+    "reposition_events-2.5": ("out_length", lambda: reposition_events([], 2.0, 2.5)),
+    "stft-2.5": ("pad", lambda: stft(_BUF, StftParams(16, 4), 2.5)),
+    "stft-True": ("pad", lambda: stft(_BUF, StftParams(16, 4), True)),
+}
+
+
+@pytest.mark.parametrize("name,call", INTEGER_ARGUMENTS.values(), ids=INTEGER_ARGUMENTS.keys())
+def test_integer_arguments_are_checked(name, call):
+    """A stage's integer argument that is a bool or not an integer raises
+    ConfigurationError naming it, not a TypeError or a silent 0 or 1."""
+    with pytest.raises(ConfigurationError, match=name):
+        call()
 
 
 def test_numpy_sizes_and_alphas_stretch_as_python_numbers():
