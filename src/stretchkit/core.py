@@ -197,12 +197,15 @@ def output_length(input_length: int, alpha: float) -> int:
     """Length of a signal of input_length samples stretched by alpha:
     round(alpha * input_length), the length every stretch method returns.
     Raises ConfigurationError when alpha * input_length exceeds
-    MAX_OUTPUT_SAMPLES, before anything of that size is allocated."""
+    MAX_OUTPUT_SAMPLES, before anything of that size is allocated, and for
+    an alpha that check_alpha rejects."""
+    check_alpha(alpha)
     scaled = alpha * input_length
     if not scaled <= MAX_OUTPUT_SAMPLES:
+        # an integer alpha's exact product may pass the float range: show inf
         raise ConfigurationError(
-            f"output of {scaled:g} samples (alpha {alpha:g} x {input_length}) "
-            f"exceeds the limit of {MAX_OUTPUT_SAMPLES} samples"
+            f"output of {float(alpha) * input_length:g} samples (alpha {alpha:g} x "
+            f"{input_length}) exceeds the limit of {MAX_OUTPUT_SAMPLES} samples"
         )
     return int(round(scaled))
 

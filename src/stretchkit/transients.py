@@ -48,13 +48,14 @@ class TransientEvent:
     anchor: int  # offset of the onset within the segment
 
 
-def _rms_envelope(x: np.ndarray, frame: int, hop: int) -> np.ndarray:
+def _rms_envelope(x: np.ndarray, frame: float, hop: int) -> np.ndarray:
     """RMS of the frames of x at starts 0, hop, ...; an x shorter than one
-    frame gives one value, as if zero-padded, with no padded copy."""
+    frame gives one value, as if zero-padded, with no padded copy. frame is
+    a whole number of samples, as an int or a float, inf included."""
+    width = int(min(frame, len(x)))  # the part of a frame that x holds
     csum = np.concatenate([[0.0], np.cumsum(x**2)])
-    starts = np.arange(0, max(len(x) - frame, 0) + 1, hop)
-    ends = np.minimum(starts + frame, len(x))
-    return np.sqrt((csum[ends] - csum[starts]) / frame)
+    starts = np.arange(0, len(x) - width + 1, hop)
+    return np.sqrt((csum[starts + width] - csum[starts]) / frame)
 
 
 def _raised_cosine_fades(segment: np.ndarray, fade_in: int, fade_out: int) -> np.ndarray:
@@ -83,10 +84,12 @@ def detect_events(
     """
     sr = transient.sample_rate
     x = transient.samples
-    frame = max(1, round(params.frame_s * sr))
-    hop = max(1, round(params.hop_s * sr))
     if len(x) == 0:
         return []
+    # a frame or hop past the input's end reads as the input's length, but
+    # the envelope still divides by the whole frame (inf past the float range)
+    frame = max(1.0, float(np.round(params.frame_s * sr)))
+    hop = max(1, round(min(params.hop_s * sr, len(x))))
     env = _rms_envelope(x, frame, hop)
     th_on = max(params.rel_threshold * float(np.median(env)), params.abs_floor)
     th_off = th_on / 2.0
@@ -111,7 +114,7 @@ def detect_events(
         j = i
         while j < len(env) and env[j] >= th_off and (j - i) * hop < max_len:
             j += 1
-        end = min(len(x), (j - 1) * hop + frame if j > i else onset + frame)
+        end = int(min(len(x), (j - 1) * hop + frame if j > i else onset + frame))
         # the envelope crossing can lead the event body by many samples
         # (e.g. on the soft pre-ring of a masked transient), and any onset
         # bias gets multiplied by alpha when repositioning; snap the onset

@@ -11,9 +11,11 @@ overlap-adds and divides the synthesis spectra, floored at _clamp_level.
 
 Frames run in blocks of at most core.FRAME_BLOCK values (a constant, not a
 setting). Analysis and synthesis run on the threads core.dealer deals blocks
-to; the phase chain from frame to frame (peak picking and rotation, or the
-plain running sum) and synthesize's overlap-add run on the calling thread
-in block order, so the output is bit-identical for any thread count.
+to; the phase chain from frame to frame and synthesize's overlap-add run on
+the calling thread in block order, so the output is bit-identical for any
+thread count. For the locked rule the chain is find_peaks on each frame and
+a three-op rotation recurrence over its peaks, the rest of its phase work
+done for the whole block at once; for the plain rule it is a running sum.
 """
 
 from __future__ import annotations
@@ -74,11 +76,14 @@ def find_peaks(mag_frame: np.ndarray) -> np.ndarray:
     if k < 5:
         raise ConfigurationError(f"need at least 5 bins to find peaks, got {k}")
     cand = mag[2 : k - 2]
-    ok = np.ones(cand.size, dtype=bool)
-    for off in (1, 2):
-        ok[off:] &= cand[off:] > cand[:-off]
-        ok[:-off] &= cand[:-off] > cand[off:]
-    peaks = np.flatnonzero(ok) + 2
+    ok = np.empty(cand.size, dtype=bool)
+    ok[-1] = True  # the last candidate has no candidate after it to beat
+    np.greater(cand[:-1], cand[1:], out=ok[:-1])
+    ok[1:] &= cand[1:] > cand[:-1]
+    ok[:-2] &= cand[:-2] > cand[2:]
+    ok[2:] &= cand[2:] > cand[:-2]
+    peaks = np.flatnonzero(ok)
+    peaks += 2
     if peaks.size == 0:
         return np.empty((0, 3), dtype=peaks.dtype)
     # Peak p[i+1] is strictly greater than bin p[i+1] - 1, which lies in the
@@ -90,12 +95,15 @@ def find_peaks(mag_frame: np.ndarray) -> np.ndarray:
     mins = np.minimum.reduceat(span, starts)
     if np.isnan(mins).any():
         raise ConfigurationError("NaN magnitude between spectral peaks")
-    at_min = span == np.repeat(mins, np.diff(peaks))
-    # first bin at the span's minimum: the lowest bin wins ties
-    first = np.where(at_min, np.arange(span.size), span.size)
-    cuts = lo + np.minimum.reduceat(first, starts)
-    bounds = np.concatenate(([0], cuts, [k]))
-    return np.column_stack((peaks, bounds[:-1], bounds[1:]))
+    # the bins at their span's minimum; the first in each span wins ties
+    at_min = np.flatnonzero(span == np.repeat(mins, peaks[1:] - peaks[:-1]))
+    regions = np.empty((peaks.size, 3), dtype=peaks.dtype)
+    regions[:, 0] = peaks
+    regions[0, 1] = 0
+    np.add(at_min[np.searchsorted(at_min, starts)], lo, out=regions[1:, 1])
+    regions[:-1, 2] = regions[1:, 1]
+    regions[-1, 2] = k
+    return regions
 
 
 def _princarg(phi):
@@ -140,7 +148,9 @@ def _pv_stretch(signal: AudioBuffer, alpha: float, pv: PvParams, locked: bool) -
                 *parts, dts[b0:b1], omega, synth_hop, state)
             yield synth
 
-    spectrum = (lambda synth: synth) if locked else (lambda synth: _polar(*synth))
+    def spectrum(parts):  # on a dealt thread
+        return (_turn if locked else _polar)(*parts)
+
     with dealer() as deal:
         out = synthesize(deal, spectrum, chain(deal(analyse, blocks)), n_syn, win, synth_hop,
                          _clamp_level(n_syn, win, synth_hop))
@@ -189,8 +199,9 @@ def _polar(mag, psi):
 
 
 def _locked_block(spec, mag, dts, omega, synth_hop, state):
-    """Synthesis spectra of a block of frames (spectra and their magnitudes)
-    with identity phase locking.
+    """Identity phase locking of a block of frames (spectra and their
+    magnitudes), as (the block's turns, the state after the block); _turn
+    builds the block's synthesis spectra from its turns.
 
     A frame with peaks is its analysis spectrum turned by one rotation per
     peak region, rotation = psi_prev + hop * inst - phase at the peak bin,
@@ -199,30 +210,60 @@ def _locked_block(spec, mag, dts, omega, synth_hop, state):
     in full after a frame without peaks (or the first frame), and is None when
     it is the spectrum's phase plus the rotation. A frame without peaks
     takes the plain rule: every bin propagates on its own.
+
+    find_peaks runs once per frame; the phases at the peak bins and their
+    advances are then computed for the whole block, so per frame only the
+    rotation, three operations in the rule's order, and its spread over the
+    bins run, which give the bits of a frame-by-frame loop.
     """
-    synth = np.empty_like(spec)
+    n, k = spec.shape
     first = state is None  # the first frame keeps its analysis phase
     prev, rot, psi = (spec[0], None, np.angle(spec[0])) if first else state
-    if first:
-        synth[0] = _polar(mag[0], psi)
-    for i in range(int(first), len(spec)):
-        regions = find_peaks(mag[i])
-        if len(regions) == 0:
-            prev_phase = np.angle(prev)
-            psi_prev = prev_phase + rot if psi is None else psi
-            psi = synth_hop * _inst_freq(np.angle(spec[i]), prev_phase, omega, dts[i]) + psi_prev
-            synth[i] = _polar(mag[i], psi)
+    found = [find_peaks(mag[i]) for i in range(int(first), n)]
+    # one table row per peak region; a frame without peaks gets one
+    # placeholder region [0, k), whose rotation stays 0
+    whole = np.array([[0, 0, k]])
+    rows = [whole] * first + [r if len(r) else whole for r in found]
+    sizes = [len(r) for r in rows]
+    peaks, starts, ends = np.concatenate(rows).T
+    frame = np.repeat(np.arange(n), sizes)
+    phase = np.angle(spec[frame, peaks])
+    prev_bins = spec[frame - 1, peaks]
+    prev_bins[: sizes[0]] = prev[peaks[: sizes[0]]]
+    prev_phase = np.angle(prev_bins)
+    advance = synth_hop * _inst_freq(phase, prev_phase, omega[peaks], dts[frame])
+    counts = ends - starts
+    rotation = np.zeros(len(peaks))
+    edges = np.concatenate(([0], np.cumsum(sizes))).tolist()
+    full = [(0, psi)] if first else []  # (frame, synthesis phase) of frames without peaks
+    for i in range(int(first), n):
+        lo, hi = edges[i], edges[i + 1]
+        if len(found[i - first]) == 0:
+            prev_all = np.angle(spec[i - 1] if i else prev)
+            psi_prev = prev_all + rot if psi is None else psi
+            psi = synth_hop * _inst_freq(np.angle(spec[i]), prev_all, omega, dts[i]) + psi_prev
+            full.append((i, psi))
+            continue
+        out = rotation[lo:hi]
+        if psi is None:
+            np.add(prev_phase[lo:hi], rot[peaks[lo:hi]], out=out)
+            out += advance[lo:hi]
         else:
-            peaks, starts, ends = regions.T
-            phase, prev_phase = np.angle(spec[i, peaks]), np.angle(prev[peaks])
-            psi_prev = prev_phase + rot[peaks] if psi is None else psi[peaks]
-            inst = _inst_freq(phase, prev_phase, omega[peaks], dts[i])
-            rotation = psi_prev + synth_hop * inst - phase
-            counts = ends - starts
-            rot, psi = np.repeat(rotation, counts), None
-            synth[i] = spec[i] * np.repeat(np.exp(1j * rotation), counts)
-        prev = spec[i]
-    return synth, (prev, rot, psi)
+            np.add(psi[peaks[lo:hi]], advance[lo:hi], out=out)
+        out -= phase[lo:hi]
+        rot, psi = np.repeat(out, counts[lo:hi]), None
+    return (spec, mag, rotation, counts, full), (spec[-1], rot, psi)
+
+
+def _turn(spec, mag, rot, counts, full):
+    """A block's synthesis spectra from _locked_block's result: each frame's
+    analysis spectrum turned by its regions' rotations (counts bins each,
+    the regions in frame order), then the frames in full, (frame, phase)
+    pairs, built from their magnitudes and phases."""
+    synth = spec * np.repeat(np.exp(1j * rot), counts).reshape(spec.shape)
+    for i, psi in full:
+        synth[i] = _polar(mag[i], psi)
+    return synth
 
 
 def stretch_sines(sines: AudioBuffer, alpha: float, params: PvParams = PvParams()) -> AudioBuffer:

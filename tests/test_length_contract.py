@@ -9,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stretchkit.core import MAX_AMPLITUDE, AudioBuffer
+from stretchkit.errors import ConfigurationError
 from stretchkit.noisemorph import stretch_noise
-from stretchkit.pipeline import MODES, StretchConfig, output_length, time_stretch
+from stretchkit.pipeline import MODES, StretchConfig, output_length, stretch, time_stretch
 from stretchkit.stn import StnConfig
 from stretchkit.transients import detect_events, reposition_events
 from stretchkit.vocoder import stretch_plain, stretch_sines
@@ -92,3 +93,15 @@ def test_sample_rates(mode, rate, seconds, alpha, seed):
     y = time_stretch(hiss_with_clicks(n, seed, rate), config)
     assert_contract(y, n, alpha)
     assert y.sample_rate == rate
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_integer_alpha_whose_output_passes_the_float_range(mode):
+    """alpha = 10**308 is a finite real, but its exact product with the
+    input's length is an int past the float range: the length check must
+    still raise ConfigurationError, not an OverflowError from its message."""
+    with pytest.raises(ConfigurationError, match="exceeds the limit"):
+        output_length(100, 10**308)
+    x = hiss_with_clicks(4410, 0)
+    with pytest.raises(ConfigurationError, match="exceeds the limit"):
+        stretch(x, StretchConfig(alpha=10**308, mode=mode))

@@ -40,6 +40,16 @@ def test_frame_longer_than_input():
     assert peak <= 4 * 2**20
 
 
+@pytest.mark.parametrize("name", ["frame_s", "hop_s"])
+@pytest.mark.parametrize("seconds", [1e300, 1.7e308])
+def test_frame_or_hop_past_any_input(name, seconds):
+    """A frame or hop of 1e300 s passes the int64 range in samples, and
+    1.7e308 s the float range: each reads as the input's length, so the
+    envelope has one value and no onset fires."""
+    x = gen_signal("click_train", 1.0)
+    assert detect_events(x, TransientDetectParams(**{name: seconds})) == []
+
+
 def test_single_impulse_detected():
     x = np.zeros(2 * SR)
     x[SR] = 1.0

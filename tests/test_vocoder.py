@@ -17,6 +17,7 @@ from stretchkit.core import (
 )
 from stretchkit.errors import ConfigurationError
 from stretchkit.metrics import dominant_frequency
+from stretchkit.pipeline import StretchConfig
 from stretchkit.signals import gen_signal, sine, two_tone
 from stretchkit.vocoder import PvParams, find_peaks, stretch_plain, stretch_sines
 
@@ -119,6 +120,27 @@ def test_find_peaks_matches_loop_reference(frame):
     assert regions.shape == (len(expected), 3)
     assert np.issubdtype(regions.dtype, np.integer)
     assert as_tuples(regions) == expected
+
+
+special_frames = st.lists(
+    st.one_of(magnitudes, st.sampled_from([np.nan, np.inf, -np.inf, -0.0])), min_size=5,
+    max_size=80)
+
+
+@settings(max_examples=300, deadline=None)
+@given(frame=special_frames)
+@example(frame=[0.0, 0.0, np.nan, 0.0, 0.0])
+@example(frame=[1.0, 0.0, 5.0, np.nan, 1.0, 5.0, 0.0, 0.0])
+def test_find_peaks_with_nan_and_inf_matches_loop_reference(frame):
+    """With NaN and +-inf among the magnitudes, find_peaks gives the loop
+    reference's rows, or raises where a NaN lies between two peaks."""
+    expected = find_peaks_loop(frame)
+    peaks = [p for p, _, _ in expected]
+    if any(np.isnan(frame[a:b]).any() for a, b in zip(peaks[:-1], peaks[1:])):
+        with pytest.raises(ConfigurationError):
+            find_peaks(np.array(frame))
+    else:
+        assert as_tuples(find_peaks(np.array(frame))) == expected
 
 
 def test_no_stretch_is_identity_interior():
@@ -417,3 +439,65 @@ def test_same_bytes_under_stressed_thread_schedule(monkeypatch, alpha, frames):
     finally:
         sys.setswitchinterval(interval)
     assert results[4] == results[1]
+
+
+def locked_block_loop(spec, mag, dts, omega, synth_hop, state):
+    """Reference: the frame-by-frame chain the block-form _locked_block
+    replaced, as (synthesis spectra, state). Each frame with peaks turns its
+    spectrum by rotation = psi_prev + hop * inst - phase per peak region;
+    state is (previous spectrum, its per-bin rotation, its synthesis phase),
+    the phase None when it is the spectrum's phase plus the rotation."""
+    synth = np.empty_like(spec)
+    first = state is None  # the first frame keeps its analysis phase
+    prev, rot, psi = (spec[0], None, np.angle(spec[0])) if first else state
+    if first:
+        synth[0] = mag[0] * np.exp(1j * psi)
+    for i in range(int(first), len(spec)):
+        regions = find_peaks(mag[i])
+        if len(regions) == 0:
+            prev_phase = np.angle(prev)
+            psi_prev = prev_phase + rot if psi is None else psi
+            inst = vocoder._inst_freq(np.angle(spec[i]), prev_phase, omega, dts[i])
+            psi = synth_hop * inst + psi_prev
+            synth[i] = mag[i] * np.exp(1j * psi)
+        else:
+            peaks, starts, ends = regions.T
+            phase, prev_phase = np.angle(spec[i, peaks]), np.angle(prev[peaks])
+            psi_prev = prev_phase + rot[peaks] if psi is None else psi[peaks]
+            inst = vocoder._inst_freq(phase, prev_phase, omega[peaks], dts[i])
+            rotation = psi_prev + synth_hop * inst - phase
+            counts = ends - starts
+            rot, psi = np.repeat(rotation, counts), None
+            synth[i] = spec[i] * np.repeat(np.exp(1j * rotation), counts)
+        prev = spec[i]
+    return synth, (prev, rot, psi)
+
+
+def bursts_between_silence(rate):
+    """Three 0.1 s bursts of a tone in noise, 0.15 s of digital silence
+    between them: the silent frames have no peaks."""
+    burst = 0.1 * np.random.default_rng(rate).standard_normal(round(0.1 * rate))
+    burst += sine(440.0, 0.1, rate).samples
+    silence = np.zeros(round(0.15 * rate))
+    return AudioBuffer(np.concatenate((burst, silence, burst, silence, burst)), rate)
+
+
+@pytest.mark.parametrize("rate", [8000, 44100, 48000])
+def test_block_chain_is_the_frame_loop_bit_for_bit(monkeypatch, rate):
+    """The block-form chain gives the frame-by-frame chain's bytes, across
+    blocks of 4 frames, frames without peaks and the frames after them."""
+    pv = StretchConfig().for_rate(rate).pv
+    monkeypatch.setattr(core, "FRAME_BLOCK", SMALL_BLOCK * pv.window_size)
+    x = bursts_between_silence(rate)
+    alphas = [0.25, 1.0, 2.5, 4.0, 8.0]
+    blocked = [stretch_sines(x, alpha, pv).samples for alpha in alphas]
+
+    def frame_by_frame(*args):
+        synth, state = locked_block_loop(*args)
+        return (synth,), state
+
+    monkeypatch.setattr(vocoder, "_locked_block", frame_by_frame)
+    monkeypatch.setattr(vocoder, "_turn", lambda synth: synth)
+    for alpha, y in zip(alphas, blocked):
+        assert np.array_equal(y, stretch_sines(x, alpha, pv).samples), alpha
+

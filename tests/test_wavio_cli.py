@@ -600,6 +600,20 @@ def test_cli_transient_frame_longer_than_any_input(tmp_path):
     assert len(list(stems.glob("*.wav"))) == 6
 
 
+@pytest.mark.parametrize("line", ["transient.frame_s = 1e300", "transient.hop_s = 1e300"])
+def test_cli_transient_span_past_the_int64_range(tmp_path, capsys, line):
+    """A transient frame or hop of 1e300 s runs like one longer than the
+    input: exit 0, with every stem written and nothing on stderr."""
+    inp = write_input(tmp_path)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n")
+    stems = tmp_path / "stems"
+    assert main([str(inp), str(tmp_path / "out.wav"), "--alpha", "2", "--config", str(cfg),
+                 "--stems", str(stems)]) == 0
+    assert len(list(stems.glob("*.wav"))) == 6
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_validates_scaled_config(tmp_path):
     out = tmp_path / "out.wav"
     cfg = tmp_path / "c.cfg"
